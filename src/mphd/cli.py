@@ -105,6 +105,17 @@ def vec_display(v) -> list:
     return mat_display(np.asarray(v)[None, :])[0]
 
 
+def feasibility_to_json(fre) -> dict:
+    return {
+        "feasible": fre.feasible,
+        "offdiag_residual": fre.offdiag_residual,
+        "modulus_residual": fre.modulus_residual,
+        "tol": fre.tol,
+        "d_candidate": mat_to_json(fre.d_candidate),
+        "d_display": mat_display(fre.d_candidate),
+    }
+
+
 # ---------------------------------------------------------------------------
 # config resolution
 
@@ -167,12 +178,23 @@ def _graph_adjacency(doc) -> np.ndarray:
     if "adjacency" in doc:
         return cluster_mod.validate_adjacency(np.asarray(doc["adjacency"], dtype=float))
     if "edges" in doc:
-        n = int(doc.get("n", 0)) or (max(max(e) for e in doc["edges"]) + 1)
+        edges, n = doc["edges"], doc.get("n", 0)
+        if not isinstance(edges, list) or type(n) is not int or n < 0:
+            raise ConfigError("graph.edges must be a list and graph.n a non-negative integer")
+        for edge in edges:
+            if not (
+                isinstance(edge, list)
+                and len(edge) in (2, 3)
+                and all(type(k) is int and k >= 0 for k in edge[:2])
+                and all(type(w) in (int, float) for w in edge[2:])
+            ):
+                raise ConfigError(f"graph edge {edge!r} is not [i, j(, weight)] with i, j >= 0")
+        n = n or max((max(e[:2]) + 1 for e in edges), default=0)
+        if n < 1 or any(max(e[:2]) >= n for e in edges):
+            raise ConfigError(f"graph needs at least one vertex and edge indices below n = {n}")
         v = np.zeros((n, n))
-        for edge in doc["edges"]:
-            i, j = int(edge[0]), int(edge[1])
-            weight = float(edge[2]) if len(edge) > 2 else 1.0
-            v[i, j] = v[j, i] = weight
+        for edge in edges:
+            v[edge[0], edge[1]] = v[edge[1], edge[0]] = float(edge[2]) if len(edge) > 2 else 1.0
         return cluster_mod.validate_adjacency(v)
     raise ConfigError("graph needs 'adjacency' or 'edges'")
 
@@ -291,14 +313,7 @@ def cmd_synthesize(config: dict, args=None) -> tuple[dict, int]:
         "config": {**det_echo, "target": target_echo, "tolerance": tol},
     }
     fre = synth.feasibility(u_th, g, tol)
-    report["feasibility"] = {
-        "feasible": fre.feasible,
-        "offdiag_residual": fre.offdiag_residual,
-        "modulus_residual": fre.modulus_residual,
-        "tol": tol,
-        "d_candidate": mat_to_json(fre.d_candidate),
-        "d_display": mat_display(fre.d_candidate),
-    }
+    report["feasibility"] = feasibility_to_json(fre)
     if fre.feasible:
         branch_arg = getattr(args, "branch", None) or config.get("branch")
         if branch_arg is not None:
@@ -374,15 +389,7 @@ def cmd_cluster(config: dict, args=None) -> tuple[dict, int]:
         tol = _resolve_tolerance(config, getattr(args, "tol", None))
         g, det_echo, _ = _resolve_detection(config)
         report["config"].update(det_echo)
-        fre = synth.feasibility(solution.u, g, tol)
-        report["feasibility"] = {
-            "feasible": fre.feasible,
-            "offdiag_residual": fre.offdiag_residual,
-            "modulus_residual": fre.modulus_residual,
-            "tol": tol,
-            "d_candidate": mat_to_json(fre.d_candidate),
-            "d_display": mat_display(fre.d_candidate),
-        }
+        report["feasibility"] = feasibility_to_json(synth.feasibility(solution.u, g, tol))
     return report, 0
 
 

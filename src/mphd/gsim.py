@@ -59,7 +59,8 @@ class GaussianState:
             )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValidationError("state contains non-finite values")
-        if np.abs(cov - cov.T).max(initial=0.0) > 1e-10:
+        scale = max(1.0, np.abs(cov).max(initial=0.0))
+        if np.abs(cov - cov.T).max(initial=0.0) > 1e-10 * scale:
             raise ValidationError("covariance matrix must be symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
@@ -358,8 +359,8 @@ def run_gate_program(
     (output_state, verification)
         ``output_state`` is the corrected single-mode Gaussian;
         ``verification`` compares it against ``program.target_gate`` applied
-        to the input state, flagging ``passed`` when the covariance distance
-        is within ``tol``.
+        to the input state, flagging ``passed`` when both the covariance and
+        the mean distance are within ``tol``.
     """
     if input_state.n_modes != 1:
         raise DimensionError("input preparation must be a single-mode state")
@@ -413,6 +414,6 @@ def run_gate_program(
         outcomes=np.asarray(recorded),
         r=float(r),
         tol=float(tol),
-        passed=bool(cov_distance <= tol),
+        passed=bool(cov_distance <= tol and mean_distance <= tol),
     )
     return output, verification

@@ -194,23 +194,6 @@ def _objective(gains, phases, g, u_th) -> float:
     )
 
 
-def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
-    """Golden-section minimum of a unimodal function on [a, b]."""
-    inv_gr = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - inv_gr * (b - a), a + inv_gr * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_gr * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def solve_approx(
     u_th,
     g,
@@ -223,13 +206,17 @@ def solve_approx(
     """Minimize ``||O Delta_LO(phi) G - U_th||_F`` by alternating descent.
 
     Each iteration solves the gain matrix in closed form (orthogonal
-    Procrustes on ``Re(Delta G U_th^dag)``) and then descends on the N pixel
-    phases one coordinate at a time with a derivative-free golden-section
-    line search, bracketed by an 8-point coarse probe of the (periodic)
-    coordinate restriction. Restarts draw independent random phase vectors
-    from a generator seeded with ``seed``; the best run is returned with its
-    monotone objective trace. ``converged`` is False when that run was still
-    improving at ``max_iters``.
+    Procrustes on ``Re(Delta U'^dag)``, where ``U' = U_th G^dag``) and then
+    the N pixel phases in closed form: ``||O Delta G||_F^2 = N`` for every
+    ``Delta``, so with ``O`` fixed the objective separates by pixel and phase
+    ``k`` is minimized at ``arg((O^T U')_kk)``. Either step is kept only if
+    it does not raise the objective. When an iteration gains more than half
+    of what the one before it gained, its phase move is extrapolated (with
+    the gains re-solved) and doubled for as long as the objective falls.
+    Restarts draw independent random phase vectors from a generator seeded
+    with ``seed``; the best run is returned with its monotone objective
+    trace. ``converged`` is False when that run was still improving at
+    ``max_iters``.
     """
     u = as_complex_matrix(u_th, "u_th")
     gm = as_complex_matrix(g, "g")
@@ -238,44 +225,47 @@ def solve_approx(
     if not is_unitary(u, max(tol, 1e-8)) or not is_unitary(gm, max(tol, 1e-8)):
         raise ValidationError("approximate synthesis expects unitary u_th and g")
     n = u.shape[0]
+    u_prime = u @ gm.conj().T
+
+    def best_gains(phases):
+        return procrustes_best_orthogonal((np.exp(1j * phases)[:, None] * u_prime.conj().T).real)
+
     rng = np.random.default_rng(seed)
     best: tuple | None = None
     for _ in range(max(1, restarts)):
         phases = rng.uniform(0.0, 2.0 * np.pi, n)
-        gains = procrustes_best_orthogonal(
-            ((np.exp(1j * phases)[:, None] * gm) @ u.conj().T).real
-        )
-        f_val = _objective(gains, phases, gm, u)
+        f_val = gained = np.inf
         trace: list[float] = []
-        converged = False
-        for _ in range(max_iters):
-            f_prev = f_val
+        for _ in range(max(1, max_iters)):
+            f_prev, start = f_val, phases
             # closed-form gain step
-            delta_g = np.exp(1j * phases)[:, None] * gm
-            candidate = procrustes_best_orthogonal((delta_g @ u.conj().T).real)
-            if _objective(candidate, phases, gm, u) <= f_val:
-                gains = candidate
-                f_val = _objective(gains, phases, gm, u)
-            # per-coordinate phase line search
-            for k in range(n):
-                def f_k(x, k=k):
-                    p = phases.copy()
-                    p[k] = x
-                    return _objective(gains, p, gm, u)
-
-                probes = phases[k] + np.linspace(0.0, 2.0 * np.pi, 9)[:-1]
-                probe_vals = [f_k(x) for x in probes]
-                center = probes[int(np.argmin(probe_vals))]
-                cand = _golden_min(f_k, center - np.pi / 4, center + np.pi / 4)
-                if f_k(cand) <= f_val:
-                    phases[k] = cand
-                    f_val = f_k(cand)
+            candidate = best_gains(phases)
+            f_cand = _objective(candidate, phases, gm, u)
+            if f_cand <= f_val:
+                gains, f_val = candidate, f_cand
+            # closed-form phase step
+            candidate = np.angle(np.diag(gains.T @ u_prime))
+            f_cand = _objective(gains, candidate, gm, u)
+            if f_cand <= f_val:
+                phases, f_val = candidate, f_cand
+            # slow linear progress: near-degenerate targets would otherwise
+            # creep towards their optimum for hundreds of iterations
+            if f_prev - f_val > 0.5 * gained:
+                step = np.angle(np.exp(1j * (phases - start)))
+                while True:
+                    candidate = phases + step
+                    cand_gains = best_gains(candidate)
+                    f_cand = _objective(cand_gains, candidate, gm, u)
+                    if not f_cand < f_val:
+                        break
+                    phases, gains, f_val = candidate, cand_gains, f_cand
+                    step = 2.0 * step
+            gained = f_prev - f_val
             trace.append(f_val)
-            if f_prev - f_val < 1e-13:
-                converged = True
+            if gained < 1e-13:
                 break
         if best is None or f_val < best[0]:
-            best = (f_val, phases.copy(), gains.copy(), trace, converged)
+            best = (f_val, phases, gains, trace, gained < 1e-13)
         if best[0] < 1e-12:
             break
     f_val, phases, gains, trace, converged = best

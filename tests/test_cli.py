@@ -176,6 +176,36 @@ class TestCluster:
         assert code == 0
         assert report["validation"]["passed"] is True
 
+    def test_edge_weight_not_counted_as_vertex(self, tmp_path):
+        code, report = run_command(tmp_path, "cluster", {"graph": {"edges": [[0, 1, 3]]}})
+        assert code == 0
+        assert np.asarray(report["a"]).shape == (2, 2)
+
+    def test_fractional_edge_weight(self, tmp_path):
+        code, report = run_command(tmp_path, "cluster", {"graph": {"edges": [[0, 1, 2.5]]}})
+        assert code == 0
+        assert np.asarray(report["a"]).shape == (2, 2)
+        np.testing.assert_array_equal(
+            report["config"]["graph"]["adjacency"], [[0.0, 2.5], [2.5, 0.0]]
+        )
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"edges": [[0.5, 1]]},
+            {"edges": [[0]]},
+            {"edges": [[-1, 1]]},
+            {"edges": [[0, 1, "x"]]},
+            {"edges": []},
+            {"edges": [[0, 3]], "n": 2},
+            {"edges": [[0, 1]], "n": "two"},
+        ],
+    )
+    def test_bad_edge_list_is_config_error(self, tmp_path, graph):
+        code, report = run_command(tmp_path, "cluster", {"graph": graph})
+        assert code == 1
+        assert report is None
+
     def test_infeasible_graph_exit_code(self, tmp_path, monkeypatch):
         from mphd import cli
         from mphd.errors import InfeasibleGraphError

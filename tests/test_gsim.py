@@ -270,6 +270,13 @@ class TestSimulateMphd:
                 result = simulate_mphd(setup, sol, plan, r, shots=1, seed=0)
                 assert result.staged_vs_direct_residual <= 1e-10
 
+    @pytest.mark.parametrize("r", [8.0, 10.0])
+    def test_large_squeezing(self, r):
+        setup = make_setup(rv.G_LIN4)
+        plan = MeasurementPlan(angles=[0.0] * 4)
+        result = simulate_mphd(setup, lin4_solutions()[9], plan, r, shots=1, seed=0)
+        assert result.staged_vs_direct_residual <= 1e-9 * np.abs(result.direct_cov).max()
+
     def test_sample_covariance_matches_analytic(self):
         setup = make_setup(rv.G_LIN4)
         plan = MeasurementPlan(angles=[0.0] * 4)
@@ -402,6 +409,15 @@ class TestRunGateProgram:
         assert not ver.passed
         assert ver.cov_distance > 0.5
 
+    def test_mean_distance_gates_passed(self):
+        program = fourier_program()
+        state = GaussianState(mean=[100.0, -40.0], cov=np.diag([np.exp(-2.0), np.exp(2.0)]))
+        _, ver = run_gate_program(program, state, 4.0, seed=0)
+        assert ver.cov_distance <= ver.tol < ver.mean_distance
+        assert not ver.passed
+        _, ver = run_gate_program(program, state, 6.0, seed=0)
+        assert ver.passed
+
     def test_uncertainty_preserved(self):
         program = fourier_program()
         out, _ = run_gate_program(program, vacuum(1), 3.0, seed=0)
@@ -416,6 +432,12 @@ class TestStateValidation:
     def test_asymmetric_cov_rejected(self):
         with pytest.raises(ValidationError):
             GaussianState(mean=[0.0, 0.0], cov=[[1.0, 0.5], [0.0, 1.0]])
+
+    def test_symmetry_tolerance_is_relative(self):
+        big = np.exp(20.0)
+        GaussianState(mean=[0.0, 0.0], cov=[[big, 1.0], [1.0 + 1e-3, big]])
+        with pytest.raises(ValidationError):
+            GaussianState(mean=[0.0, 0.0], cov=[[big, 1.0], [1.0 + 1e-6 * big, big]])
 
     def test_odd_mean_rejected(self):
         with pytest.raises(DimensionError):

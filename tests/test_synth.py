@@ -239,6 +239,53 @@ class TestSolveApprox:
         with pytest.raises(ValidationError):
             solve_approx(np.eye(2) * 2.0, CZ2_G)
 
+    @staticmethod
+    def assert_fixed_point(result, u, g):
+        """The returned (O, phases) is a fixed point of both closed-form steps."""
+        sol = result.solution
+        gains, phases = sol.gains, sol.delta_lo.phases
+        tol = 1e-9 * np.linalg.norm(u)
+
+        def distance(p):
+            return np.linalg.norm((gains * np.exp(1j * p)[None, :]) @ g - u)
+
+        assert is_real_orthogonal(gains, 1e-10)
+        b = (np.exp(1j * phases)[:, None] * g @ u.conj().T).real
+        assert np.trace(gains @ b) >= np.linalg.svd(b, compute_uv=False).sum() - tol
+        best = np.angle(np.diag(gains.T @ u @ g.conj().T))
+        assert distance(phases) - distance(best) <= tol
+        trace = np.asarray(result.objective_trace)
+        assert len(trace) == result.iterations >= 1
+        assert np.all(np.diff(trace) <= 0.0)
+        assert abs(trace[-1] - sol.residual) <= tol
+        assert abs(distance(phases) - sol.residual) <= tol
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_haar_fixed_point(self, n):
+        rng = np.random.default_rng(500 + n)
+        for seed in range(2):
+            g, u = rv.random_unitary(rng, n), rv.random_unitary(rng, n)
+            result = solve_approx(u, g, seed=seed)
+            assert result.converged
+            self.assert_fixed_point(result, u, g)
+
+    def test_near_degenerate_target_converges(self):
+        # plain alternation of the two steps crawls on this target: after
+        # 200 iterations it is still 2.5e-10 above its optimum and unconverged
+        rng = np.random.default_rng(5885)
+        g, u = rv.random_unitary(rng, 2), rv.random_unitary(rng, 2)
+        result = solve_approx(u, g, seed=0)
+        assert result.converged
+        self.assert_fixed_point(result, u, g)
+
+    def test_planted_n24(self):
+        rng = np.random.default_rng(24)
+        g = rv.random_unitary(rng, 24)
+        phases = rng.uniform(0, 2 * np.pi, 24)
+        u_th = (rv.random_orthogonal(rng, 24) * np.exp(1j * phases)[None, :]) @ g
+        result = solve_approx(u_th, g, seed=5)
+        assert result.solution.residual <= 1e-6
+
 
 class TestGateProgramTieIn:
     def test_fourier_solutions_contain_published_pair(self):
