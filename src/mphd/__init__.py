@@ -24,7 +24,6 @@ from .errors import (
     ConfigError,
     DimensionError,
     FeasibilityError,
-    InfeasibleGraphError,
     InternalConsistencyError,
     MPHDError,
     ResolutionError,

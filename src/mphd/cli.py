@@ -3,8 +3,8 @@
 Configs are JSON documents validated against a per-command key schema
 (unknown keys are rejected); reports are JSON with every matrix carried at
 full precision next to a 2-decimal display block. Exit codes: 0 success,
-2 domain-level infeasibility (with the best approximate result still
-reported), 1 usage or validation error.
+2 infeasible target in ``synthesize`` or ``gate`` (with the best approximate
+result still reported), 1 usage or validation error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cluster as cluster_mod
 from . import gsim, mbqc, modes, synth
-from .errors import ConfigError, InfeasibleGraphError, MPHDError
+from .errors import ConfigError, MPHDError
 from .matcore import DiagonalUnitary
 from .presets import NAMED_TARGETS, expand_preset
 
@@ -366,11 +366,7 @@ def cmd_cluster(config: dict, args=None) -> tuple[dict, int]:
         "command": "cluster",
         "config": {"graph": {"adjacency": v.tolist()}},
     }
-    try:
-        solution = cluster_mod.cluster_unitary(v, freedom)
-    except InfeasibleGraphError as exc:
-        report["infeasible"] = {"message": str(exc), "residual": exc.residual}
-        return report, 2
+    solution = cluster_mod.cluster_unitary(v, freedom)
     x_s = cluster_mod.symmetric_x(solution.a)
     validation = cluster_mod.validate_cluster(solution.u, v)
     report.update(

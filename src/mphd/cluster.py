@@ -3,9 +3,12 @@
 A graph with symmetric adjacency ``V`` (zero diagonal) defines a family of
 unitaries ``U = X + iY`` subject to ``Y = VX``, ``XX^T + YY^T = I``,
 ``X^T Y = Y^T X`` and ``X Y^T = Y X^T``. Writing ``A = XX^T`` reduces the
-constraints to the linear system ``VAV = I - A``; the symmetric PSD root
-``X_s`` of ``A`` generates every solution as ``U = (I + iV) X_s O`` with
-``O`` an arbitrary real orthogonal freedom.
+constraints to ``VAV = I - A``. One eigendecomposition ``V = W Lambda W^T``
+gives its minimum-norm solution ``A = W (I + Lambda^2)^-1 W^T = (I + V^2)^-1``
+and the symmetric root ``X_s = W (I + Lambda^2)^(-1/2) W^T``, both positive
+definite for every finite symmetric ``V``. Every solution is
+``U = (I + iV) X_s O`` with ``O`` an arbitrary real orthogonal freedom
+(van Loock, Weedbrook & Gu, PRA 76, 032321 (2007)).
 """
 
 from __future__ import annotations
@@ -14,15 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InfeasibleGraphError, ValidationError
+from .errors import DimensionError, ValidationError
 from .matcore import as_complex_matrix, is_real_orthogonal
 
 
 def validate_adjacency(v) -> np.ndarray:
     """Coerce and validate a real symmetric zero-diagonal adjacency matrix."""
     arr = np.asarray(v, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"adjacency matrix must be square, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise DimensionError(
+            f"adjacency matrix must be square and non-empty, got shape {arr.shape}"
+        )
     if not np.all(np.isfinite(arr)):
         raise ValidationError("adjacency matrix contains non-finite entries")
     if np.abs(arr - arr.T).max(initial=0.0) > 1e-12:
@@ -62,34 +67,22 @@ class ClusterValidation:
     residuals: dict[str, float]
 
 
-def solve_a(v, tol: float = 1e-10) -> np.ndarray:
-    """Solve ``VAV = I - A`` for the symmetric PSD gain matrix ``A``.
+def _gain_factor(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``B = W (I + Lambda^2)^(-1/2)`` and ``W`` from ``V = W Lambda W^T``."""
+    lam, w = np.linalg.eigh(arr)
+    return w / np.sqrt(1.0 + lam**2)[None, :], w
 
-    The (possibly underdetermined) system is vectorized as
-    ``(V (x) V + I) vec(A) = vec(I)`` and solved by minimum-Frobenius-norm
-    least squares, then symmetrized. The result is rejected with
-    :class:`InfeasibleGraphError` if the equation residual exceeds ``tol`` or
-    the matrix is not PSD within ``-1e-10``.
+
+def solve_a(v) -> np.ndarray:
+    """Minimum-norm gain matrix ``A = W (I + Lambda^2)^-1 W^T`` of ``VAV = I - A``.
+
+    With ``V = W Lambda W^T``, ``vec(I) = sum_k w_k (x) w_k`` lies in the
+    eigenspaces of ``V (x) V + I`` with eigenvalues ``1 + lambda_k^2 >= 1``, so
+    the minimum-norm solution of ``(V (x) V + I) vec(A) = vec(I)`` is exact and
+    positive definite (van Loock, Weedbrook & Gu, PRA 76, 032321 (2007)).
     """
-    arr = validate_adjacency(v)
-    n = arr.shape[0]
-    system = np.kron(arr, arr) + np.eye(n * n)
-    vec_a, *_ = np.linalg.lstsq(system, np.eye(n).reshape(-1), rcond=None)
-    a = vec_a.reshape(n, n)
-    a = 0.5 * (a + a.T)
-    residual = float(np.linalg.norm(arr @ a @ arr - (np.eye(n) - a)))
-    if residual > tol:
-        raise InfeasibleGraphError(
-            f"no solution of VAV = I - A within tolerance (residual {residual:.2e})",
-            residual=residual,
-        )
-    min_eig = float(np.linalg.eigvalsh(a).min())
-    if min_eig < -1e-10:
-        raise InfeasibleGraphError(
-            f"gain matrix solution is not PSD (min eigenvalue {min_eig:.2e})",
-            residual=residual,
-        )
-    return a
+    b, _ = _gain_factor(validate_adjacency(v))
+    return b @ b.T
 
 
 def symmetric_x(a, tol: float = 1e-10) -> np.ndarray:
@@ -110,12 +103,13 @@ def cluster_unitary(v, freedom=None) -> ClusterSolution:
     """Build a cluster-state unitary for graph ``v``.
 
     ``freedom`` selects a member of the solution family ``U = (I + iV) X_s O``
-    (default: identity, yielding the symmetric solution).
+    (default: identity, yielding the symmetric solution). ``A`` and ``X_s``
+    come from one eigendecomposition of ``V``, as in :func:`solve_a`.
     """
     arr = validate_adjacency(v)
     n = arr.shape[0]
-    a = solve_a(arr)
-    x_s = symmetric_x(a)
+    b, w = _gain_factor(arr)
+    a, x_s = b @ b.T, b @ w.T
     if freedom is None:
         free = np.eye(n)
     else:

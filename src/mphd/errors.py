@@ -41,13 +41,5 @@ class InternalConsistencyError(MPHDError, RuntimeError):
     """
 
 
-class InfeasibleGraphError(MPHDError, ValueError):
-    """The cluster gain system has no acceptable PSD solution."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class ConfigError(MPHDError, ValueError):
     """A configuration document is malformed."""

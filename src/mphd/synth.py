@@ -160,17 +160,29 @@ def solve_exact(
 
 
 def enumerate_solutions(report: FeasibilityReport, g, u_th) -> list[SynthesisSolution]:
-    """All ``2**N`` exact solutions, ordered by branch bits as binary counting."""
+    """All ``2**N`` exact solutions, ordered by branch bits as binary counting.
+
+    Branch ``b`` is the principal solution with the signs ``1 - 2b`` applied
+    to the gain columns and to ``Delta_LO`` (phases ``half + pi b``), so every
+    branch shares its orthogonality check, residual and read-only ``u_mphd``.
+    At most 16 modes (~0.2 GB of solutions).
+    """
     if not report.feasible:
         raise FeasibilityError("cannot enumerate solutions of an infeasible problem")
-    if report.dim > 20:
-        raise CapacityError(
-            f"2**{report.dim} branches is too many to enumerate; "
-            "pick single branches with solve_exact instead"
-        )
+    if report.dim > 16:
+        raise CapacityError(f"2**{report.dim} branches is too many; use solve_exact per branch")
+    principal = _solution_from_branch(report, g, u_th, np.zeros(report.dim, dtype=int))
+    principal.u_mphd.setflags(write=False)
+    branches = list(itertools.product((0, 1), repeat=report.dim))
     return [
-        _solution_from_branch(report, g, u_th, bits)
-        for bits in itertools.product((0, 1), repeat=report.dim)
+        SynthesisSolution(
+            delta_lo=DiagonalUnitary(principal.delta_lo.phases + np.pi * flips),
+            gains=principal.gains * (1 - 2 * flips),
+            u_mphd=principal.u_mphd,
+            residual=principal.residual,
+            branch_id=bits,
+        )
+        for bits, flips in zip(branches, np.array(branches))
     ]
 
 
@@ -178,14 +190,17 @@ def verify_solution(sol: SynthesisSolution, u_th, g, tol: float = 1e-10) -> floa
     """Recompute ``O Delta_LO G`` from stored parameters; return its distance to ``U_th``.
 
     Also enforces the stored-product invariant: the recomputed matrix must be
-    within ``tol`` of ``sol.u_mphd``.
+    within ``tol`` of ``sol.u_mphd`` (a NaN fails it).
     """
+    u = as_complex_matrix(u_th, "u_th")
     product = (sol.gains * sol.delta_lo.diagonal()[None, :]) @ np.asarray(g, dtype=complex)
-    if frobenius_distance(product, sol.u_mphd) > tol:
+    if product.shape != u.shape:
+        raise DimensionError(f"shape mismatch: product {product.shape} vs u_th {u.shape}")
+    if not (np.linalg.norm(product - sol.u_mphd) <= tol):
         raise InternalConsistencyError(
             "stored u_mphd differs from the recomputed product beyond tolerance"
         )
-    return frobenius_distance(product, u_th)
+    return float(np.linalg.norm(product - u))
 
 
 def _objective(gains, phases, g, u_th) -> float:

@@ -206,20 +206,6 @@ class TestCluster:
         assert code == 1
         assert report is None
 
-    def test_infeasible_graph_exit_code(self, tmp_path, monkeypatch):
-        from mphd import cli
-        from mphd.errors import InfeasibleGraphError
-
-        def boom(v, freedom=None):
-            raise InfeasibleGraphError("no acceptable gain solution", residual=0.5)
-
-        monkeypatch.setattr(cli.cluster_mod, "cluster_unitary", boom)
-        code, report = run_command(
-            tmp_path, "cluster", {"graph": {"edges": [[0, 1]]}}
-        )
-        assert code == 2
-        assert report["infeasible"]["residual"] == 0.5
-
 
 class TestGate:
     def test_fourier_report(self, tmp_path):

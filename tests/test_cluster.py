@@ -35,6 +35,27 @@ def random_graph(rng, n):
     return v + v.T
 
 
+def weighted_graph(rng, n):
+    edges = rng.random((n, n)) < 0.5
+    v = np.triu(np.where(edges, rng.uniform(-2.0, 2.0, (n, n)), 0.0), 1)
+    return v + v.T
+
+
+def kron_oracle(v):
+    """Minimum-norm solution of the vectorized system (V (x) V + I) vec(A) = vec(I)."""
+    n = v.shape[0]
+    system = np.kron(v, v) + np.eye(n * n)
+    return (np.linalg.pinv(system) @ np.eye(n).reshape(-1)).reshape(n, n)
+
+
+def sample_graphs(rng, sizes):
+    """Seeded weighted random graphs plus the path and the edgeless graph per size."""
+    for n in sizes:
+        yield weighted_graph(rng, n)
+        yield path_adjacency(n, rng.uniform(0.5, 2.0))
+        yield np.zeros((n, n))
+
+
 class TestSolveA:
     def test_three_path_rational_solution(self):
         np.testing.assert_allclose(solve_a(rv.PATH_3), rv.A_PATH3, atol=1e-12)
@@ -47,9 +68,12 @@ class TestSolveA:
         a = solve_a(v)
         np.testing.assert_allclose(a, np.eye(2) / 2, atol=1e-12)
         # independent pseudo-inverse oracle for the vectorized system
-        system = np.kron(v, v) + np.eye(4)
-        oracle = (np.linalg.pinv(system) @ np.eye(2).reshape(-1)).reshape(2, 2)
-        np.testing.assert_allclose(a, oracle, atol=1e-12)
+        np.testing.assert_allclose(a, kron_oracle(v), atol=1e-12)
+
+    def test_closed_form_matches_kron_oracle(self):
+        rng = np.random.default_rng(31)
+        for v in sample_graphs(rng, range(1, 9)):
+            np.testing.assert_allclose(solve_a(v), kron_oracle(v), atol=1e-12)
 
     def test_residual_small_on_many_graphs(self):
         rng = np.random.default_rng(7)
@@ -70,6 +94,12 @@ class TestSolveA:
             solve_a(np.array([[1.0, 0.0], [0.0, 0.0]]))  # nonzero diagonal
         with pytest.raises(DimensionError):
             solve_a(np.zeros((2, 3)))
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(DimensionError):
+            solve_a(np.zeros((0, 0)))
+        with pytest.raises(DimensionError):
+            cluster_unitary(np.zeros((0, 0)))
 
 
 class TestSymmetricX:
@@ -151,6 +181,20 @@ class TestClusterUnitary:
             assert is_unitary(sol.u, 1e-9)
             check = validate_cluster(sol.u, v, tol=1e-9)
             assert check.passed, (v, check.residuals)
+
+
+    @pytest.mark.parametrize("sizes", [(1, 2, 3, 5, 8), (16, 33, 64)])
+    def test_closed_form_properties(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        for v in sample_graphs(rng, sizes):
+            sol = cluster_unitary(v)
+            eye = np.eye(v.shape[0])
+            scale = 1.0 + np.linalg.norm(v, 2) ** 2
+            assert np.linalg.norm(v @ sol.a @ v - (eye - sol.a)) <= 1e-13 * v.shape[0] * scale
+            assert np.linalg.eigvalsh(sol.a).min() > 0.0
+            np.testing.assert_array_equal(sol.a, sol.a.T)
+            np.testing.assert_allclose(sol.x @ sol.x, sol.a, atol=1e-13 * v.shape[0])
+            np.testing.assert_array_equal(sol.a, solve_a(v))
 
 
 class TestValidateCluster:

@@ -133,10 +133,44 @@ class TestEnumerateSolutions:
         np.testing.assert_allclose(pairs, [(-1.0, -1.0), (1.0, 1.0)], atol=1e-12)
 
     def test_capacity_guard(self):
-        g = np.eye(21, dtype=complex)
+        g = np.eye(17, dtype=complex)
         report = feasibility(g, g)
         with pytest.raises(CapacityError):
             enumerate_solutions(report, g, g)
+
+
+    @staticmethod
+    def problems():
+        yield rv.G_LIN4, rv.CLUSTER_4
+        yield rv.G_GATE, fourier_program().u_th
+        rng = np.random.default_rng(88)
+        for n in range(1, 9):
+            g = rv.random_unitary(rng, n)
+            phases = rng.uniform(0, 2 * np.pi, n)
+            yield g, (rv.random_orthogonal(rng, n) * np.exp(1j * phases)[None, :]) @ g
+
+    def test_derived_branches_equal_solve_exact(self):
+        for g, u in self.problems():
+            report = feasibility(u, g)
+            sols = enumerate_solutions(report, g, u)
+            assert len(sols) == 2**report.dim
+            for sol in sols:
+                ref = solve_exact(report, g, u, sol.branch_id)
+                assert sol.branch_id == ref.branch_id
+                np.testing.assert_allclose(sol.gains, ref.gains, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    sol.delta_lo.phases, ref.delta_lo.phases, rtol=0, atol=1e-12
+                )
+                np.testing.assert_allclose(sol.u_mphd, ref.u_mphd, rtol=0, atol=1e-12)
+                assert abs(sol.residual - ref.residual) <= 1e-12
+
+    def test_branches_share_one_read_only_product(self):
+        report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
+        sols = enumerate_solutions(report, rv.G_LIN4, rv.CLUSTER_4)
+        assert all(s.u_mphd is sols[0].u_mphd for s in sols)
+        with pytest.raises(ValueError):
+            sols[0].u_mphd[0, 0] = 0.0
+        assert sols[3].branch_id == (0, 0, 1, 1)
 
 
 class TestVerifySolution:
@@ -176,6 +210,23 @@ class TestVerifySolution:
         )
         with pytest.raises(InternalConsistencyError):
             verify_solution(tampered, rv.CLUSTER_4, rv.G_LIN4)
+
+    def test_nan_product_detected(self):
+        report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
+        sol = solve_exact(report, rv.G_LIN4, rv.CLUSTER_4)
+        u_mphd = sol.u_mphd.copy()
+        u_mphd[1, 2] = np.nan
+        tampered = SynthesisSolution(
+            delta_lo=sol.delta_lo, gains=sol.gains, u_mphd=u_mphd, residual=sol.residual
+        )
+        with pytest.raises(InternalConsistencyError):
+            verify_solution(tampered, rv.CLUSTER_4, rv.G_LIN4)
+
+    def test_target_shape_checked(self):
+        report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
+        sol = solve_exact(report, rv.G_LIN4, rv.CLUSTER_4)
+        with pytest.raises(DimensionError):
+            verify_solution(sol, rv.CLUSTER_4[:3], rv.G_LIN4)
 
 
 class TestRandomizedSoundness:
