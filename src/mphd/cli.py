@@ -1,10 +1,17 @@
 """Command-line front end: synthesize / cluster / gate / simulate.
 
-Configs are JSON documents validated against a per-command key schema
-(unknown keys are rejected); reports are JSON with every matrix carried at
-full precision next to a 2-decimal display block. Exit codes: 0 success,
-2 infeasible target in ``synthesize`` or ``gate`` (with the best approximate
-result still reported), 1 usage or validation error.
+Configs are JSON documents validated against the per-command key schema
+``ALLOWED_KEYS``: unknown keys are rejected and every accepted key is read.
+The schema also gives each command its flags: ``--seed``, ``--branch`` and
+``--tol`` exist only where the command reads ``seed``, ``branch`` and
+``tolerances`` (``synthesize`` and ``gate`` take all three, ``cluster`` only
+``--tol``, ``simulate`` ``--seed`` and ``--branch``), and a given flag
+overrides its config value. Reports are JSON with every matrix carried at
+full precision next to a 2-decimal display block; ``simulate`` writes a CSV
+of its samples only when the config names a ``csv_path``. Exit codes:
+0 success, 2 infeasible target in ``synthesize`` or ``gate`` (with the best
+approximate result still reported), 1 usage or validation error; ``cluster``
+and ``simulate`` never exit 2.
 """
 
 from __future__ import annotations
@@ -21,36 +28,43 @@ import numpy as np
 from . import cluster as cluster_mod
 from . import gsim, mbqc, modes, synth
 from .errors import ConfigError, MPHDError
-from .matcore import DiagonalUnitary
-from .presets import NAMED_TARGETS, expand_preset
+from .matcore import DiagonalUnitary, as_complex_matrix
+from .presets import _TARGET_FORMS, NAMED_TARGETS, expand_preset
 
 SCHEMA_VERSION = 1
 
 log = logging.getLogger("mphd")
 
-_COMMON_KEYS = {"preset", "tolerances", "seed"}
-_DETECTION_KEYS = {"modes", "pixels", "opo_phases", "detection"}
+_COMMON_KEYS = {"preset", "modes", "pixels", "opo_phases", "detection"}
+_SYNTH_KEYS = _COMMON_KEYS | {"tolerances", "seed", "target", "optimizer", "branch", "enumerate"}
+#: The top-level keys each command reads; also the source of its flags.
 ALLOWED_KEYS = {
-    "synthesize": _COMMON_KEYS | _DETECTION_KEYS | {"target", "optimizer", "branch", "enumerate"},
-    "cluster": _COMMON_KEYS | _DETECTION_KEYS | {"graph", "freedom"},
-    "gate": _COMMON_KEYS | _DETECTION_KEYS
-    | {"target", "optimizer", "branch", "enumerate", "r", "shots", "input_squeezing"},
-    "simulate": _COMMON_KEYS | _DETECTION_KEYS
-    | {"target", "solution", "solution_report", "branch", "plan", "r", "shots", "csv_path"},
+    "synthesize": _SYNTH_KEYS,
+    "cluster": _COMMON_KEYS | {"tolerances", "graph", "freedom"},
+    "gate": _SYNTH_KEYS | {"r", "input_squeezing"},
+    "simulate": _COMMON_KEYS
+    | {"seed", "target", "solution", "solution_report", "branch", "plan", "r", "shots", "csv_path"},
 }
 
 _NESTED_KEYS = {
     "modes": {"family", "n", "grid_points", "domain", "lo_index", "file"},
     "pixels": {"count", "boundaries"},
     "detection": {"matrix"},
-    "target": {"matrix", "graph", "gate", "named", "identity"},
+    "target": _TARGET_FORMS,
     "graph": {"adjacency", "edges", "n"},
     "gate": {"name", "s", "theta_3"},
-    "tolerances": {"feasibility", "structure"},
+    "tolerances": {"feasibility"},
     "optimizer": {"max_iters", "restarts", "seed", "tol"},
     "plan": {"angles", "offsets", "gains"},
     "solution": {"phases", "gains"},
     "freedom": {"euler", "matrix"},
+}
+
+#: Flags by the schema key they override: (flag, type, nested key or None, help).
+_FLAGS = {
+    "seed": ("--seed", int, None, "override the config seed"),
+    "branch": ("--branch", str, None, "square-root branch bits, e.g. 1001"),
+    "tolerances": ("--tol", float, "feasibility", "override the feasibility tolerance"),
 }
 
 
@@ -69,10 +83,9 @@ def validate_config(config: dict, command: str) -> None:
     for key, sub_allowed in _NESTED_KEYS.items():
         if key in config:
             _check_keys(config[key], sub_allowed, f"config.{key}")
-    if "target" in config and "gate" in config.get("target", {}):
-        _check_keys(config["target"]["gate"], _NESTED_KEYS["gate"], "config.target.gate")
-    if "target" in config and "graph" in config.get("target", {}):
-        _check_keys(config["target"]["graph"], _NESTED_KEYS["graph"], "config.target.graph")
+    for form in ("gate", "graph"):
+        if form in config.get("target", {}):
+            _check_keys(config["target"][form], _NESTED_KEYS[form], f"config.target.{form}")
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +118,10 @@ def vec_display(v) -> list:
     return mat_display(np.asarray(v)[None, :])[0]
 
 
+def _matrix_echo(m) -> dict:
+    return {"matrix": mat_to_json(m), "display": mat_display(m)}
+
+
 def feasibility_to_json(fre) -> dict:
     return {
         "feasible": fre.feasible,
@@ -119,25 +136,34 @@ def feasibility_to_json(fre) -> dict:
 # ---------------------------------------------------------------------------
 # config resolution
 
-def _resolve_tolerance(config, args_tol=None) -> float:
-    if args_tol is not None:
-        return float(args_tol)
+def _resolve_tolerance(config) -> float:
     return float(config.get("tolerances", {}).get("feasibility", 1e-9))
 
 
 def _resolve_detection(config):
-    """Build G (and optionally the full setup) from the config.
+    """Build the detection front end from the config; return (setup, echo).
 
-    Returns (g, echo, setup_or_none); an explicit detection.matrix wins over
-    the modes/pixels/opo route.
+    An explicit detection.matrix wins over the modes/pixels/opo route and
+    stands for G itself, with identity dephasings.
     """
     if "detection" in config:
-        g = mat_from_json(config["detection"]["matrix"], "detection.matrix")
-        echo = {"detection": {"matrix": mat_to_json(g), "display": mat_display(g)}}
-        return g, echo, None
+        g = as_complex_matrix(
+            mat_from_json(config["detection"]["matrix"], "detection.matrix"), "detection.matrix"
+        )
+        setup = modes.DetectionSetup(
+            u_t=g,
+            delta_opo=DiagonalUnitary.identity(g.shape[1]),
+            g=g,
+            lo_index=0,
+            kappa=np.ones(g.shape[0]),
+        )
+        return setup, {"detection": _matrix_echo(g)}
     if "modes" not in config:
         raise ConfigError("config needs either 'detection.matrix' or a 'modes' block")
     mode_cfg = config["modes"]
+    family = mode_cfg.get("family", "flip")
+    if family != "flip":
+        raise ConfigError(f"unknown mode family {family!r}; use 'flip' or a mode 'file'")
     if "file" in mode_cfg:
         basis = modes.load_mode_basis(mode_cfg["file"])
     else:
@@ -158,7 +184,7 @@ def _resolve_detection(config):
     setup = modes.detection_setup(basis, lo_index, partition, opo)
     echo = {
         "modes": {
-            "family": mode_cfg.get("family", "flip") if "file" not in mode_cfg else "file",
+            "family": "file" if "file" in mode_cfg else "flip",
             "n": basis.n_modes,
             "grid_points": basis.grid_points,
             "domain": list(basis.domain),
@@ -171,7 +197,7 @@ def _resolve_detection(config):
         "g": mat_to_json(setup.g),
         "g_display": mat_display(setup.g),
     }
-    return setup.g, echo, setup
+    return setup, echo
 
 
 def _graph_adjacency(doc) -> np.ndarray:
@@ -204,7 +230,7 @@ def _resolve_target(config, g):
     tdoc = config.get("target")
     if tdoc is None:
         raise ConfigError("config is missing the 'target' block")
-    forms = {"matrix", "graph", "gate", "named", "identity"} & set(tdoc)
+    forms = _TARGET_FORMS & set(tdoc)
     if len(forms) > 1:
         raise ConfigError(f"target is ambiguous: {sorted(forms)} all given")
     if tdoc.get("identity"):
@@ -214,18 +240,14 @@ def _resolve_target(config, g):
         if name not in NAMED_TARGETS:
             raise ConfigError(f"unknown named target {name!r}")
         u = NAMED_TARGETS[name]()
-        return u, {"named": name, "matrix": mat_to_json(u), "display": mat_display(u)}
+        return u, {"named": name, **_matrix_echo(u)}
     if "matrix" in tdoc:
         u = mat_from_json(tdoc["matrix"], "target.matrix")
-        return u, {"matrix": mat_to_json(u), "display": mat_display(u)}
+        return u, _matrix_echo(u)
     if "graph" in tdoc:
         v = _graph_adjacency(tdoc["graph"])
         u = cluster_mod.cluster_unitary(v).u
-        return u, {
-            "graph": {"adjacency": v.tolist()},
-            "matrix": mat_to_json(u),
-            "display": mat_display(u),
-        }
+        return u, {"graph": {"adjacency": v.tolist()}, **_matrix_echo(u)}
     if "gate" in tdoc:
         program = _resolve_program(tdoc["gate"])
         return program.u_th, {
@@ -234,10 +256,9 @@ def _resolve_target(config, g):
                 "angles": program.plan.angles.tolist(),
                 "offsets": program.plan.offsets.tolist(),
             },
-            "matrix": mat_to_json(program.u_th),
-            "display": mat_display(program.u_th),
+            **_matrix_echo(program.u_th),
         }
-    raise ConfigError("target needs one of: matrix, graph, gate, named, identity")
+    raise ConfigError(f"target needs one of: {', '.join(sorted(_TARGET_FORMS))}")
 
 
 def _resolve_program(gate_doc) -> mbqc.GateProgram:
@@ -267,21 +288,18 @@ def _solution_to_json(sol: synth.SynthesisSolution) -> dict:
 
 def _solution_from_config(config, g) -> synth.SynthesisSolution:
     if "solution" in config:
+        if {"solution_report", "branch"} & set(config):
+            raise ConfigError("an inline 'solution' takes no 'solution_report' or 'branch'")
         doc = config["solution"]
     elif "solution_report" in config:
-        with open(config["solution_report"], "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-        sols = report.get("solutions", [])
-        if not sols:
-            raise ConfigError(f"report {config['solution_report']} holds no solutions")
-        branch = config.get("branch")
-        if branch is not None:
-            matches = [s for s in sols if s.get("branch") == branch]
-            if not matches:
-                raise ConfigError(f"no solution with branch {branch!r} in report")
-            doc = matches[0]
-        else:
-            doc = sols[0]
+        path, branch = config["solution_report"], config.get("branch")
+        with open(path, "r", encoding="utf-8") as fh:
+            sols = json.load(fh).get("solutions", [])
+        matches = [s for s in sols if branch is None or s.get("branch") == branch]
+        if not matches:
+            wanted = "no solutions" if branch is None else f"no solution with branch {branch!r}"
+            raise ConfigError(f"report {path} holds {wanted}")
+        doc = matches[0]
     else:
         raise ConfigError("simulate needs 'solution' (inline) or 'solution_report'")
     phases = np.asarray(doc["phases"], dtype=float)
@@ -303,9 +321,10 @@ def _parse_branch(text, n) -> tuple:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_synthesize(config: dict, args=None) -> tuple[dict, int]:
-    tol = _resolve_tolerance(config, getattr(args, "tol", None))
-    g, det_echo, _ = _resolve_detection(config)
+def cmd_synthesize(config: dict) -> tuple[dict, int]:
+    tol = _resolve_tolerance(config)
+    setup, det_echo = _resolve_detection(config)
+    g = setup.g
     u_th, target_echo = _resolve_target(config, g)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -315,9 +334,8 @@ def cmd_synthesize(config: dict, args=None) -> tuple[dict, int]:
     fre = synth.feasibility(u_th, g, tol)
     report["feasibility"] = feasibility_to_json(fre)
     if fre.feasible:
-        branch_arg = getattr(args, "branch", None) or config.get("branch")
-        if branch_arg is not None:
-            bits = _parse_branch(branch_arg, fre.dim)
+        if config.get("branch") is not None:
+            bits = _parse_branch(config["branch"], fre.dim)
             sols = [synth.solve_exact(fre, g, u_th, bits)]
         elif config.get("enumerate", fre.dim <= 8):
             sols = synth.enumerate_solutions(fre, g, u_th)
@@ -326,15 +344,12 @@ def cmd_synthesize(config: dict, args=None) -> tuple[dict, int]:
         report["solutions"] = [_solution_to_json(s) for s in sols]
         return report, 0
     opts = config.get("optimizer", {})
-    seed = config.get("seed", opts.get("seed", 0))
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
     result = synth.solve_approx(
         u_th,
         g,
         max_iters=int(opts.get("max_iters", 200)),
         restarts=int(opts.get("restarts", 8)),
-        seed=int(seed),
+        seed=int(config.get("seed", opts.get("seed", 0))),
         tol=float(opts.get("tol", tol)),
     )
     report["approx"] = {
@@ -348,7 +363,7 @@ def cmd_synthesize(config: dict, args=None) -> tuple[dict, int]:
     return report, 2
 
 
-def cmd_cluster(config: dict, args=None) -> tuple[dict, int]:
+def cmd_cluster(config: dict) -> tuple[dict, int]:
     if "graph" not in config:
         raise ConfigError("cluster command needs a 'graph' block")
     v = _graph_adjacency(config["graph"])
@@ -367,14 +382,13 @@ def cmd_cluster(config: dict, args=None) -> tuple[dict, int]:
         "config": {"graph": {"adjacency": v.tolist()}},
     }
     solution = cluster_mod.cluster_unitary(v, freedom)
-    x_s = cluster_mod.symmetric_x(solution.a)
     validation = cluster_mod.validate_cluster(solution.u, v)
     report.update(
         {
             "a": solution.a.tolist(),
             "a_display": mat_display(solution.a),
-            "x_s": x_s.tolist(),
-            "x_s_display": mat_display(x_s),
+            "x_s": solution.x_s.tolist(),
+            "x_s_display": mat_display(solution.x_s),
             "freedom": solution.orthogonal_freedom.tolist(),
             "u": mat_to_json(solution.u),
             "u_display": mat_display(solution.u),
@@ -382,20 +396,19 @@ def cmd_cluster(config: dict, args=None) -> tuple[dict, int]:
         }
     )
     if "modes" in config or "detection" in config:
-        tol = _resolve_tolerance(config, getattr(args, "tol", None))
-        g, det_echo, _ = _resolve_detection(config)
+        tol = _resolve_tolerance(config)
+        setup, det_echo = _resolve_detection(config)
         report["config"].update(det_echo)
-        report["feasibility"] = feasibility_to_json(synth.feasibility(solution.u, g, tol))
+        report["feasibility"] = feasibility_to_json(synth.feasibility(solution.u, setup.g, tol))
     return report, 0
 
 
-def cmd_gate(config: dict, args=None) -> tuple[dict, int]:
+def cmd_gate(config: dict) -> tuple[dict, int]:
     tdoc = config.get("target", {})
     if "gate" not in tdoc:
         raise ConfigError("gate command needs target.gate (fourier | displacement)")
     program = _resolve_program(tdoc["gate"])
-    synth_report, code = cmd_synthesize(config, args)
-    report = dict(synth_report)
+    report, code = cmd_synthesize(config)
     report["command"] = "gate"
     report["program"] = {
         "name": program.name,
@@ -406,15 +419,13 @@ def cmd_gate(config: dict, args=None) -> tuple[dict, int]:
     }
     if config.get("r") is not None:
         r = float(config["r"])
-        seed = config.get("seed", 0)
-        if getattr(args, "seed", None) is not None:
-            seed = args.seed
         r_in = float(config.get("input_squeezing", 1.0))
         input_state = gsim.squeezed_input(1, r_in, ["q"])
-        output, verification = gsim.run_gate_program(program, input_state, r, seed=int(seed))
+        output, verification = gsim.run_gate_program(
+            program, input_state, r, seed=int(config.get("seed", 0))
+        )
         report["verification"] = {
             "r": r,
-            "shots": int(config["shots"]) if config.get("shots") is not None else None,
             "input_squeezing": r_in,
             "cov_distance": verification.cov_distance,
             "mean_distance": verification.mean_distance,
@@ -428,17 +439,11 @@ def cmd_gate(config: dict, args=None) -> tuple[dict, int]:
     return report, code
 
 
-def cmd_simulate(config: dict, args=None) -> tuple[dict, int]:
-    g, det_echo, setup = _resolve_detection(config)
-    if setup is None:
-        n = g.shape[0]
-        setup = modes.DetectionSetup(
-            u_t=g,
-            delta_opo=DiagonalUnitary.identity(n),
-            g=g,
-            lo_index=0,
-            kappa=np.ones(n),
-        )
+def cmd_simulate(config: dict) -> tuple[dict, int]:
+    setup, det_echo = _resolve_detection(config)
+    csv_path = config.get("csv_path")
+    if csv_path is not None and not isinstance(csv_path, str):
+        raise ConfigError("csv_path must be a file path")
     sol = _solution_from_config(config, setup.g)
     n = setup.g.shape[0]
     pdoc = config.get("plan", {})
@@ -449,12 +454,10 @@ def cmd_simulate(config: dict, args=None) -> tuple[dict, int]:
     )
     r = float(config.get("r", 1.0))
     shots = int(config.get("shots", 1000))
-    seed = config.get("seed", 0)
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    result = gsim.simulate_mphd(setup, sol, plan, r, shots, int(seed))
-    csv_path = config.get("csv_path", "mphd_samples.csv")
-    gsim.export_samples_csv(result, csv_path)
+    seed = int(config.get("seed", 0))
+    result = gsim.simulate_mphd(setup, sol, plan, r, shots, seed)
+    if csv_path is not None:
+        gsim.export_samples_csv(result, csv_path)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",
@@ -467,10 +470,10 @@ def cmd_simulate(config: dict, args=None) -> tuple[dict, int]:
             },
             "r": r,
             "shots": shots,
-            "seed": int(seed),
+            "seed": seed,
         },
         "solution": _solution_to_json(sol),
-        "csv_path": str(csv_path),
+        "csv_path": csv_path,
         "sample_mean": result.sample_mean.tolist(),
         "sample_cov": result.sample_cov.tolist(),
         "analytic_mean": result.analytic_mean.tolist(),
@@ -480,16 +483,7 @@ def cmd_simulate(config: dict, args=None) -> tuple[dict, int]:
     if "target" in config:
         u_th, target_echo = _resolve_target(config, setup.g)
         report["config"]["target"] = target_echo
-        report["solution"]["residual"] = synth.verify_solution(
-            synth.SynthesisSolution(
-                delta_lo=sol.delta_lo,
-                gains=sol.gains,
-                u_mphd=sol.u_mphd,
-                residual=0.0,
-            ),
-            u_th,
-            setup.g,
-        )
+        report["solution"]["residual"] = synth.verify_solution(sol, u_th, setup.g)
     return report, 0
 
 
@@ -517,20 +511,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthesize and verify multi-pixel homodyne detection networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, allowed in ALLOWED_KEYS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default=None, help="report path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--branch", default=None, help="square-root branch bits, e.g. 1001")
-        p.add_argument("--tol", type=float, default=None, help="override feasibility tolerance")
+        for key, (flag, kind, _, text) in _FLAGS.items():
+            if key in allowed:
+                p.add_argument(flag, dest=key, type=kind, metavar=flag[2:].upper(), help=text)
     return parser
 
 
 def run(argv=None) -> int:
     level = os.environ.get("MPHD_LOG", "WARNING").upper()
     logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING))
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on usage errors; 2 means infeasible here
+        return 1 if exc.code else 0
     started = time.perf_counter()
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -545,8 +542,12 @@ def run(argv=None) -> int:
             if key not in ALLOWED_KEYS[args.command] and key not in user_keys:
                 del config[key]
         validate_config(config, args.command)
+        for key, (_, _, nested, _) in _FLAGS.items():
+            value = getattr(args, key, None)
+            if value is not None:
+                config[key] = {**config.get(key, {}), nested: value} if nested else value
         log.info("running %s with config %s", args.command, args.config)
-        report, code = COMMANDS[args.command](config, args)
+        report, code = COMMANDS[args.command](config)
     except (MPHDError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"mphd {args.command}: error: {exc}\n")
         return 1

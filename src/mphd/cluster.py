@@ -50,13 +50,17 @@ def path_adjacency(n: int, weight: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClusterSolution:
-    """One member of the solution family for a given graph."""
+    """One member of the solution family for a given graph.
+
+    ``x_s`` is the symmetric root of ``a``; ``x = x_s @ orthogonal_freedom``.
+    """
 
     a: np.ndarray
     x: np.ndarray
     y: np.ndarray
     u: np.ndarray
     orthogonal_freedom: np.ndarray
+    x_s: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ def cluster_unitary(v, freedom=None) -> ClusterSolution:
             raise ValidationError("freedom matrix is not real orthogonal")
     x = x_s @ free
     y = arr @ x
-    return ClusterSolution(a=a, x=x, y=y, u=x + 1j * y, orthogonal_freedom=free)
+    return ClusterSolution(a=a, x=x, y=y, u=x + 1j * y, orthogonal_freedom=free, x_s=x_s)
 
 
 def validate_cluster(u, v, tol: float = 1e-9) -> ClusterValidation:

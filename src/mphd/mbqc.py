@@ -135,8 +135,22 @@ def build_u_tf(u_lin3, theta_3: float = 0.0) -> np.ndarray:
     coupler[:2, :2] = BEAM_SPLITTER
     layered = np.eye(4, dtype=complex)
     layered[1:, 1:] = u3
-    d_meas = DiagonalUnitary([np.pi / 2, np.pi / 2, 0.0, theta_3])
-    return d_meas.matrix() @ coupler @ layered
+    return DiagonalUnitary(_angles(theta_3)).matrix() @ coupler @ layered
+
+
+def _angles(theta_3: float) -> list:
+    return [np.pi / 2, np.pi / 2, 0.0, theta_3]
+
+
+def _fourier_circuit(name: str, theta_3: float, offsets=None) -> GateProgram:
+    plan = MeasurementPlan(angles=_angles(theta_3), offsets=offsets)
+    return GateProgram(
+        plan=plan,
+        target_gate=FOURIER_GATE.copy(),
+        d_meas=DiagonalUnitary(plan.angles),
+        u_th=build_u_tf(linear_cluster_3(), theta_3),
+        name=name,
+    )
 
 
 def fourier_program(theta_3: float = 0.0) -> GateProgram:
@@ -145,14 +159,7 @@ def fourier_program(theta_3: float = 0.0) -> GateProgram:
     Measurement angles (pi/2, pi/2, 0, theta_3) with zero offsets; theta_3
     only rotates the read-out quadrature of the output mode.
     """
-    plan = MeasurementPlan(angles=[np.pi / 2, np.pi / 2, 0.0, theta_3])
-    return GateProgram(
-        plan=plan,
-        target_gate=FOURIER_GATE.copy(),
-        d_meas=DiagonalUnitary([np.pi / 2, np.pi / 2, 0.0, theta_3]),
-        u_th=build_u_tf(linear_cluster_3(), theta_3),
-        name="fourier",
-    )
+    return _fourier_circuit("fourier", theta_3)
 
 
 def displacement_program(s: float, theta_3: float = 0.0) -> GateProgram:
@@ -163,14 +170,4 @@ def displacement_program(s: float, theta_3: float = 0.0) -> GateProgram:
     q displacement of magnitude ``s`` on the output (in this package's
     [q, p] = 2i units).
     """
-    plan = MeasurementPlan(
-        angles=[np.pi / 2, np.pi / 2, 0.0, theta_3],
-        offsets=[0.0, 0.0, float(s), 0.0],
-    )
-    return GateProgram(
-        plan=plan,
-        target_gate=FOURIER_GATE.copy(),
-        d_meas=DiagonalUnitary([np.pi / 2, np.pi / 2, 0.0, theta_3]),
-        u_th=build_u_tf(linear_cluster_3(), theta_3),
-        name="displacement",
-    )
+    return _fourier_circuit("displacement", theta_3, offsets=[0.0, 0.0, float(s), 0.0])

@@ -214,23 +214,16 @@ def pixel_modes(basis: ModeBasis, lo_index: int, partition: PixelPartition):
 def detection_matrix(basis: ModeBasis, lo_index: int, partition: PixelPartition) -> np.ndarray:
     """Overlap matrix mapping input modes onto pixel modes.
 
-    Entry ``(i, j)`` is ``kappa_i int_{S_i} u_LO^* u_j``, evaluated by the
-    midpoint rule. Square (P == N) with pixel modes spanning the basis gives
-    a unitary matrix within integration tolerance.
+    Entry ``(i, j)`` is ``kappa_i int_{S_i} u_LO^* u_j``, the midpoint-rule
+    overlap of pixel mode ``i`` (see :func:`pixel_modes`) with mode ``j``.
+    Square (P == N) with pixel modes spanning the basis gives a unitary
+    matrix within integration tolerance.
     """
-    if not 0 <= lo_index < basis.n_modes:
-        raise DimensionError(f"lo_index {lo_index} out of range for {basis.n_modes} modes")
-    u_lo = basis.samples[lo_index]
-    masks = _pixel_masks(basis, partition)
-    power = basis.cell_width * (masks @ np.abs(u_lo) ** 2)
-    if np.any(power <= 1e-15):
-        bad = int(np.argmin(power))
-        raise SingularPixelError(
-            f"pixel {bad} carries no local-oscillator intensity; kappa undefined"
-        )
-    kappa = 1.0 / np.sqrt(power)
-    weighted = masks * np.conj(u_lo)[None, :]
-    return (kappa[:, None] * (weighted @ basis.samples.T)) * basis.cell_width
+    return _overlaps(basis, pixel_modes(basis, lo_index, partition)[0])
+
+
+def _overlaps(basis: ModeBasis, pixel: np.ndarray) -> np.ndarray:
+    return basis.cell_width * (np.conj(pixel) @ basis.samples.T)
 
 
 def build_g(u_t, delta_opo: DiagonalUnitary) -> np.ndarray:
@@ -264,8 +257,8 @@ def detection_setup(
     opo_phases=None,
 ) -> DetectionSetup:
     """Assemble a :class:`DetectionSetup` from a basis, partition and dephasings."""
-    u_t = detection_matrix(basis, lo_index, partition)
-    _, kappa = pixel_modes(basis, lo_index, partition)
+    pixel, kappa = pixel_modes(basis, lo_index, partition)
+    u_t = _overlaps(basis, pixel)
     if opo_phases is None:
         delta_opo = DiagonalUnitary.identity(basis.n_modes)
     else:

@@ -64,7 +64,8 @@ def deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-_TARGET_FORMS = {"matrix", "graph", "gate", "named", "identity"}
+#: The forms a ``target`` block can take; exactly one is given.
+_TARGET_FORMS = frozenset({"matrix", "graph", "gate", "named", "identity"})
 
 
 def expand_preset(config: dict) -> dict:

@@ -25,6 +25,15 @@ def run_command(tmp_path, command, doc, *extra, name="config.json", out="report.
     return code, report
 
 
+#: A valid simulate config; most TestUsageErrors cases add one input it does not read.
+IDENTITY_SIMULATION = {
+    "preset": "identity",
+    "solution": {"phases": [0.0] * 4, "gains": np.eye(4).tolist()},
+    "shots": 2,
+}
+EDGE = {"graph": {"edges": [[0, 1]]}}
+
+
 class TestSynthesize:
     def test_lin4_preset(self, tmp_path):
         code, report = run_command(tmp_path, "synthesize", {"preset": "lin4"})
@@ -313,6 +322,81 @@ class TestSimulate:
     def test_simulate_requires_solution(self, tmp_path):
         code, _ = run_command(tmp_path, "simulate", {"preset": "lin4"})
         assert code == 1
+
+    def test_branch_flag_selects_solution(self, tmp_path):
+        cfg = write_config(tmp_path, {"preset": "lin4"}, "synth.json")
+        synth_out = tmp_path / "synth_rep.json"
+        assert run(["synthesize", "--config", cfg, "--out", str(synth_out)]) == 0
+        chosen = [s for s in json.loads(synth_out.read_text())["solutions"] if s["branch"] == "1001"]
+        doc = {"preset": "lin4", "solution_report": str(synth_out), "shots": 3}
+        code, report = run_command(tmp_path, "simulate", doc, "--branch", "1001")
+        assert code == 0
+        assert report["solution"]["gains"] == chosen[0]["gains"]
+        assert report["solution"]["phases"] == chosen[0]["phases"]
+
+    def test_no_csv_without_csv_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, report = run_command(tmp_path, "simulate", IDENTITY_SIMULATION)
+        assert code == 0
+        assert report["csv_path"] is None
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_explicit_detection_matrix(self, tmp_path):
+        g = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        doc = {
+            "detection": {"matrix": {"re": g.tolist()}},
+            "target": {"matrix": {"re": np.eye(2).tolist()}},
+            "solution": {"phases": [0.0, 0.0], "gains": g.T.tolist()},
+            "r": 1.0,
+            "shots": 4,
+            "seed": 3,
+            "csv_path": str(tmp_path / "g.csv"),
+        }
+        code, report = run_command(tmp_path, "simulate", doc)
+        assert code == 0
+        np.testing.assert_array_equal(mat_from_json(report["config"]["detection"]["matrix"]), g)
+        assert report["solution"]["residual"] <= 1e-12
+        assert report["staged_vs_direct_residual"] <= 1e-10
+        assert np.asarray(report["analytic_cov"]).shape == (2, 2)
+        lines = (tmp_path / "g.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 4 * 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "command, doc, flags",
+        [
+            ("synthesize", {"preset": "lin4", "modes": {"family": "hermite-gauss"}}, []),
+            ("synthesize", {"preset": "lin4", "tolerances": {"structure": 1e-9}}, []),
+            ("gate", {"preset": "fourier", "shots": 100}, []),
+            ("cluster", {**EDGE, "seed": 3}, []),
+            ("simulate", {**IDENTITY_SIMULATION, "tolerances": {"feasibility": 1e-9}}, []),
+            ("simulate", {**IDENTITY_SIMULATION, "branch": "0000"}, []),
+            ("simulate", {**IDENTITY_SIMULATION, "csv_path": ["s.csv"]}, []),
+            ("cluster", EDGE, ["--seed", "4"]),
+            ("cluster", EDGE, ["--branch", "1001"]),
+            ("simulate", IDENTITY_SIMULATION, ["--tol", "1e-7"]),
+            ("synthesize", None, []),
+        ],
+        ids=[
+            "family", "structure", "gate-shots", "cluster-seed", "simulate-tolerances",
+            "inline-solution-branch", "csv-path-type", "cluster--seed", "cluster--branch",
+            "simulate--tol", "no--config",
+        ],
+    )
+    def test_exits_1_with_message(self, tmp_path, monkeypatch, capsys, command, doc, flags):
+        monkeypatch.chdir(tmp_path)
+        if doc is None:
+            code, report = run([command, *flags]), None
+        else:
+            code, report = run_command(tmp_path, command, doc, *flags)
+        assert code == 1
+        assert report is None
+        assert "error" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert run(["simulate", "--help"]) == 0
+        assert "--branch" in capsys.readouterr().out
 
 
 class TestHarness:

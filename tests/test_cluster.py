@@ -186,6 +186,7 @@ class TestClusterUnitary:
     @pytest.mark.parametrize("sizes", [(1, 2, 3, 5, 8), (16, 33, 64)])
     def test_closed_form_properties(self, sizes):
         rng = np.random.default_rng(sum(sizes))
+        free_rng = np.random.default_rng(len(sizes))
         for v in sample_graphs(rng, sizes):
             sol = cluster_unitary(v)
             eye = np.eye(v.shape[0])
@@ -193,8 +194,12 @@ class TestClusterUnitary:
             assert np.linalg.norm(v @ sol.a @ v - (eye - sol.a)) <= 1e-13 * v.shape[0] * scale
             assert np.linalg.eigvalsh(sol.a).min() > 0.0
             np.testing.assert_array_equal(sol.a, sol.a.T)
-            np.testing.assert_allclose(sol.x @ sol.x, sol.a, atol=1e-13 * v.shape[0])
+            np.testing.assert_allclose(sol.x_s @ sol.x_s, sol.a, atol=1e-13 * v.shape[0])
+            np.testing.assert_array_equal(sol.x, sol.x_s)
             np.testing.assert_array_equal(sol.a, solve_a(v))
+            turned = cluster_unitary(v, rv.random_orthogonal(free_rng, v.shape[0]))
+            np.testing.assert_array_equal(turned.x_s, sol.x_s)
+            np.testing.assert_array_equal(turned.x, turned.x_s @ turned.orthogonal_freedom)
 
 
 class TestValidateCluster:
