@@ -147,6 +147,8 @@ def _resolve_detection(config):
     stands for G itself, with identity dephasings.
     """
     if "detection" in config:
+        if "matrix" not in config["detection"]:
+            raise ConfigError("config.detection needs a 'matrix'")
         g = as_complex_matrix(
             mat_from_json(config["detection"]["matrix"], "detection.matrix"), "detection.matrix"
         )
@@ -262,6 +264,8 @@ def _resolve_target(config, g):
 
 
 def _resolve_program(gate_doc) -> mbqc.GateProgram:
+    if isinstance(gate_doc, mbqc.GateProgram):
+        return gate_doc
     name = gate_doc.get("name")
     theta_3 = float(gate_doc.get("theta_3", 0.0))
     if name == "fourier":
@@ -294,7 +298,8 @@ def _solution_from_config(config, g) -> synth.SynthesisSolution:
     elif "solution_report" in config:
         path, branch = config["solution_report"], config.get("branch")
         with open(path, "r", encoding="utf-8") as fh:
-            sols = json.load(fh).get("solutions", [])
+            report = json.load(fh)
+        sols = report.get("solutions", []) if isinstance(report, dict) else []
         matches = [s for s in sols if branch is None or s.get("branch") == branch]
         if not matches:
             wanted = "no solutions" if branch is None else f"no solution with branch {branch!r}"
@@ -302,6 +307,8 @@ def _solution_from_config(config, g) -> synth.SynthesisSolution:
         doc = matches[0]
     else:
         raise ConfigError("simulate needs 'solution' (inline) or 'solution_report'")
+    if missing := {"phases", "gains"} - set(doc):
+        raise ConfigError(f"solution is missing {sorted(missing)}")
     phases = np.asarray(doc["phases"], dtype=float)
     gains = np.asarray(doc["gains"], dtype=float)
     delta = DiagonalUnitary(phases)
@@ -408,7 +415,8 @@ def cmd_gate(config: dict) -> tuple[dict, int]:
     if "gate" not in tdoc:
         raise ConfigError("gate command needs target.gate (fourier | displacement)")
     program = _resolve_program(tdoc["gate"])
-    report, code = cmd_synthesize(config)
+    # synthesize against the program built here instead of building it again
+    report, code = cmd_synthesize({**config, "target": {**tdoc, "gate": program}})
     report["command"] = "gate"
     report["program"] = {
         "name": program.name,

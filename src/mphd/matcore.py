@@ -112,10 +112,6 @@ class DiagonalUnitary:
     def conj(self) -> "DiagonalUnitary":
         return DiagonalUnitary(-self.phases)
 
-    def inverse(self) -> "DiagonalUnitary":
-        # unit modulus: inverse == conjugate
-        return self.conj()
-
     @classmethod
     def identity(cls, n: int) -> "DiagonalUnitary":
         return cls(np.zeros(n))

@@ -246,6 +246,20 @@ class TestGate:
         assert ver["cov_distance"] < 1e-2
         assert ver["mean_distance"] < 1e-4
 
+    def test_program_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = mphd.mbqc.build_u_tf
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(mphd.mbqc, "build_u_tf", counted)
+        code, report = run_command(tmp_path, "gate", {"preset": "fourier", "r": 6.0})
+        assert code == 0
+        assert report["verification"]["passed"] is True
+        assert len(calls) == 1
+
     def test_gate_requires_gate_target(self, tmp_path):
         code, _ = run_command(tmp_path, "gate", {"preset": "lin4"})
         assert code == 1
@@ -377,15 +391,20 @@ class TestUsageErrors:
             ("cluster", EDGE, ["--branch", "1001"]),
             ("simulate", IDENTITY_SIMULATION, ["--tol", "1e-7"]),
             ("synthesize", None, []),
+            ("simulate", {**IDENTITY_SIMULATION, "solution": {"phases": [0.0] * 4}}, []),
+            ("simulate", {**IDENTITY_SIMULATION, "detection": {}}, []),
+            ("simulate", {"preset": "identity", "solution_report": "list.json", "shots": 2}, []),
         ],
         ids=[
             "family", "structure", "gate-shots", "cluster-seed", "simulate-tolerances",
             "inline-solution-branch", "csv-path-type", "cluster--seed", "cluster--branch",
-            "simulate--tol", "no--config",
+            "simulate--tol", "no--config", "solution-without-gains", "detection-without-matrix",
+            "solution-report-list-root",
         ],
     )
     def test_exits_1_with_message(self, tmp_path, monkeypatch, capsys, command, doc, flags):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "list.json").write_text("[]")
         if doc is None:
             code, report = run([command, *flags]), None
         else:

@@ -282,12 +282,13 @@ class TestSimulateMphd:
         plan = MeasurementPlan(angles=[0.0] * 4)
         sol = lin4_solutions()[9]
         shots = 100_000
-        result = simulate_mphd(setup, sol, plan, r=2.0, shots=shots, seed=11)
-        sigma = result.analytic_cov
-        for i in range(4):
-            for j in range(4):
-                stderr = np.sqrt((sigma[i, i] * sigma[j, j] + sigma[i, j] ** 2) / shots)
-                assert abs(result.sample_cov[i, j] - sigma[i, j]) <= 5 * stderr
+        for r in (2.0, 10.0):
+            result = simulate_mphd(setup, sol, plan, r=r, shots=shots, seed=11)
+            sigma = result.analytic_cov
+            for i in range(4):
+                for j in range(4):
+                    stderr = np.sqrt((sigma[i, i] * sigma[j, j] + sigma[i, j] ** 2) / shots)
+                    assert abs(result.sample_cov[i, j] - sigma[i, j]) <= 5 * stderr
 
     def test_zero_mean_input(self):
         setup = make_setup(rv.G_LIN4)
@@ -353,6 +354,20 @@ class TestRunGateProgram:
         assert dist[6.0] < dist[5.0] < dist[4.0]
         assert dist[5.0] / dist[4.0] == pytest.approx(np.exp(-2.0), rel=0.1)
         assert dist[6.0] / dist[5.0] == pytest.approx(np.exp(-2.0), rel=0.1)
+
+    def test_distance_falls_at_the_squeezing_rate(self):
+        # the exact distance is ~106.2 e^{-2r}: each unit of r divides it by
+        # e^2, to 1e-5 from r = 6 on; rounding must not move that ratio
+        program = fourier_program()
+        state = squeezed_input(1, 1.0, ["q"])
+        dist = [run_gate_program(program, state, float(r), seed=2)[1].cov_distance for r in range(6, 14)]
+        np.testing.assert_allclose(np.divide(dist[1:], dist[:-1]), np.exp(-2.0), rtol=1e-4)
+
+    @pytest.mark.parametrize("r", [16.0, 20.0])
+    def test_large_squeezing_stays_physical(self, r):
+        out, ver = run_gate_program(fourier_program(), squeezed_input(1, 1.0, ["q"]), r, seed=1)
+        assert out.uncertainty_residual() >= -1e-6
+        assert ver.passed
 
     def test_corrected_mean_deterministic(self):
         program = fourier_program()
