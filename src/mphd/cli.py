@@ -407,6 +407,8 @@ def cmd_cluster(config: dict) -> tuple[dict, int]:
         setup, det_echo = _resolve_detection(config)
         report["config"].update(det_echo)
         report["feasibility"] = feasibility_to_json(synth.feasibility(solution.u, setup.g, tol))
+    elif "tolerances" in config:
+        raise ConfigError("cluster reads 'tolerances' (--tol) only with 'modes' or 'detection'")
     return report, 0
 
 

@@ -14,14 +14,13 @@ local-oscillator global phase 3*pi/2 plus ``theta``.
 Covariances are carried as square-root factors ``F F^T``: maps act as ``S F``,
 homodyne conditioning is one Householder reflection (``_condition_step``) and
 samples are the mean plus ``F`` times standard normals. The gate output
-covariance is within 7e-15 of a 60-digit reference for r = 0..20; the output
-mean carries ~1e-16 e^{r} of rounding. ``simulate_mphd`` samples differ for a
-given seed from versions that sampled the covariance matrix (same law).
+covariance is within 7e-15 of a 60-digit reference for r = 0..20; its mean is
+formed without e^{r}-sized outcomes. Folding the plan gains into the sampling
+factor moves samples by rounding only; CSV bytes are those of ``csv.writer``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -266,7 +265,7 @@ def simulate_mphd(
     Its factor passes the three pipeline stages ``G``, then ``Delta_LO``,
     then ``O`` as successive symplectic maps; all modes are then measured
     simultaneously at the plan's angles, through the triangular factor of
-    the measured rows. Offsets are added (and gains applied) post-sampling.
+    the measured rows with the plan gains folded in; offsets are added after.
     The direct covariance (single map from the solution's full unitary) is
     returned alongside for cross-checking.
     """
@@ -291,15 +290,16 @@ def simulate_mphd(
         raise ValidationError(f"covariance is not finite at r = {r}")
 
     rows = np.sin(plan.angles)[:, None] * staged[:n] + np.cos(plan.angles)[:, None] * staged[n:]
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((int(shots), n)) @ np.linalg.qr(rows.T, mode="r")
-    outcomes = raw * plan.gains[None, :] + plan.offsets[None, :]
-    sample_cov = np.cov(outcomes, rowvar=False) if shots > 1 else np.zeros((n, n))
+    rng, shots = np.random.default_rng(seed), int(shots)
+    outcomes = rng.standard_normal((shots, n)) @ (np.linalg.qr(rows.T, mode="r") * plan.gains)
+    outcomes += plan.offsets
+    sample_mean = np.ones(shots) @ outcomes / shots
+    centered = outcomes - sample_mean
     return SimulationResult(
         outcomes=outcomes,
         angles=plan.angles.copy(),
-        sample_mean=outcomes.mean(axis=0),
-        sample_cov=np.atleast_2d(sample_cov),
+        sample_mean=sample_mean,
+        sample_cov=centered.T @ centered / max(shots - 1, 1),
         analytic_mean=plan.offsets.copy(),
         analytic_cov=np.outer(plan.gains, plan.gains) * (rows @ rows.T),
         staged_cov=staged_cov,
@@ -310,16 +310,14 @@ def simulate_mphd(
 
 
 def export_samples_csv(result: SimulationResult, path) -> None:
-    """Write sample records as CSV with columns shot, mode, angle, outcome."""
+    """Write samples as CSV (shot, mode, angle, outcome), 4096 shots a block to bound memory."""
+    n = result.outcomes.shape[1]
+    rows = "".join(f"{{0}},{m},{float(result.angles[m])!r},{{{m + 1}!r}}\r\n" for m in range(n))
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["shot", "mode", "angle", "outcome"])
-        for shot in range(result.shots):
-            for mode in range(result.outcomes.shape[1]):
-                writer.writerow(
-                    [shot, mode, repr(float(result.angles[mode])),
-                     repr(float(result.outcomes[shot, mode]))]
-                )
+        fh.write("shot,mode,angle,outcome\r\n")
+        for start in range(0, result.shots, 4096):
+            block = result.outcomes[start : start + 4096].tolist()
+            fh.writelines(rows.format(shot, *row) for shot, row in enumerate(block, start))
 
 
 @dataclass(frozen=True)
@@ -357,7 +355,7 @@ def run_gate_program(
     on modes in/1/2 sequentially with conditioning after each, and applies
     outcome feedforward to the surviving mode's mean. The feedforward uses
     the exact conditional gains, so the corrected output mean is
-    deterministic: it equals the accumulated linear map applied to the
+    deterministic: it is formed as the accumulated linear map applied to the
     initial means, minus the deterministic displacement contributed by the
     plan offsets.
 
@@ -389,15 +387,15 @@ def run_gate_program(
         recorded.append(program.plan.gains[k] * raw + program.plan.offsets[k])
         tracked[:, 0] += gain * raw
         tracked[:, 3 + k] = gain
-    k_matrix = tracked[:, 3:] / program.plan.gains[:3]
-    corrected = tracked[:, 0] - k_matrix @ np.asarray(recorded)
-    output = GaussianState(mean=corrected, cov=factor @ factor.T)
+    # equal to tracked[:, 0] - K recorded, without cancelling outcomes of size e^{r}
+    offset_displacement = -tracked[:, 3:] / program.plan.gains[:3] @ program.plan.offsets[:3]
+    input_transfer = tracked[:, 1:3]
+    output_mean = input_transfer @ input_state.mean + offset_displacement
+    output = GaussianState(mean=output_mean, cov=factor @ factor.T)
 
-    offset_displacement = -k_matrix @ program.plan.offsets[:3]
     target = np.asarray(program.target_gate, dtype=float)
     target_cov = target @ input_state.cov @ target.T
     target_mean = target @ input_state.mean + offset_displacement
-    input_transfer = tracked[:, 1:3]
     cov_distance = float(np.linalg.norm(output.cov - target_cov))
     mean_distance = float(np.linalg.norm(output.mean - target_mean))
     verification = GateVerification(

@@ -176,6 +176,12 @@ class TestCluster:
         assert "feasibility" in report
         assert isinstance(report["feasibility"]["feasible"], bool)
 
+    def test_tol_flag_reaches_feasibility_block(self, tmp_path):
+        doc = {"graph": {"edges": [[0, 1], [1, 2], [2, 3]]}, "preset": "lin4"}
+        code, report = run_command(tmp_path, "cluster", doc, "--tol", "1e-7")
+        assert code == 0
+        assert report["feasibility"]["tol"] == 1e-7
+
     def test_euler_freedom(self, tmp_path):
         doc = {
             "graph": {"edges": [[0, 1], [1, 2]]},
@@ -389,6 +395,8 @@ class TestUsageErrors:
             ("simulate", {**IDENTITY_SIMULATION, "csv_path": ["s.csv"]}, []),
             ("cluster", EDGE, ["--seed", "4"]),
             ("cluster", EDGE, ["--branch", "1001"]),
+            ("cluster", {**EDGE, "tolerances": {"feasibility": 1e-3}}, []),
+            ("cluster", EDGE, ["--tol", "1e-3"]),
             ("simulate", IDENTITY_SIMULATION, ["--tol", "1e-7"]),
             ("synthesize", None, []),
             ("simulate", {**IDENTITY_SIMULATION, "solution": {"phases": [0.0] * 4}}, []),
@@ -398,6 +406,7 @@ class TestUsageErrors:
         ids=[
             "family", "structure", "gate-shots", "cluster-seed", "simulate-tolerances",
             "inline-solution-branch", "csv-path-type", "cluster--seed", "cluster--branch",
+            "cluster-tolerances-bare-graph", "cluster--tol-bare-graph",
             "simulate--tol", "no--config", "solution-without-gains", "detection-without-matrix",
             "solution-report-list-root",
         ],

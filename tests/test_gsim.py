@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mphd import (
     DiagonalUnitary,
     GaussianState,
     MeasurementPlan,
+    SimulationResult,
     SymplecticMap,
     apply,
     displacement_program,
@@ -24,6 +27,7 @@ from mphd import (
 )
 from mphd.errors import DimensionError, ValidationError
 from mphd.modes import DetectionSetup
+from mphd.synth import SynthesisSolution
 
 
 def make_setup(g):
@@ -31,6 +35,17 @@ def make_setup(g):
     return DetectionSetup(
         u_t=g, delta_opo=DiagonalUnitary.identity(n), g=g, lo_index=0, kappa=np.ones(n)
     )
+
+
+def fourier_pipeline(n):
+    """A pipeline with G the n-point DFT, trivial LO phases and gains, and a seeded plan."""
+    g = np.fft.fft(np.eye(n)) / np.sqrt(n)
+    sol = SynthesisSolution(DiagonalUnitary.identity(n), np.eye(n), g, 0.0)
+    rng = np.random.default_rng(n)
+    plan = MeasurementPlan(
+        angles=rng.uniform(0.0, np.pi, n), offsets=rng.normal(0.0, 1.0, n), gains=rng.uniform(1.0, 2.0, n)
+    )
+    return make_setup(g), sol, plan
 
 
 def lin4_solutions():
@@ -324,6 +339,29 @@ class TestSimulateMphd:
         plan = MeasurementPlan(angles=[0.0] * 4)
         result = simulate_mphd(setup, lin4_solutions()[0], plan, 1.0, shots=1, seed=0)
         assert result.outcomes.shape == (1, 4)
+        np.testing.assert_array_equal(result.sample_cov, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("shots", [2, 1000, 100_000])
+    @pytest.mark.parametrize("n", [4, 16, 32])
+    def test_sample_statistics_are_those_of_the_outcomes(self, n, shots):
+        setup, sol, plan = fourier_pipeline(n)
+        result = simulate_mphd(setup, sol, plan, 1.0, shots, seed=4)
+        mean = result.outcomes.mean(axis=0)
+        cov = np.cov(result.outcomes, rowvar=False)
+        assert np.abs(result.sample_mean - mean).max() <= 1e-12 * np.abs(mean).max()
+        assert np.abs(result.sample_cov - cov).max() <= 1e-12 * np.abs(cov).max()
+
+    @pytest.mark.parametrize("n", [4, 16, 32])
+    def test_outcomes_follow_the_scaled_triangular_factor(self, n):
+        # the gains folded into the factor move the samples by rounding only
+        setup, sol, plan = fourier_pipeline(n)
+        r, shots, seed = 1.0, 1000, 21
+        staged = symplectic_from_unitary(setup.g).s * np.exp(np.repeat([r, -r], n))
+        rows = np.sin(plan.angles)[:, None] * staged[:n] + np.cos(plan.angles)[:, None] * staged[n:]
+        z = np.random.default_rng(seed).standard_normal((shots, n))
+        expected = (z @ np.linalg.qr(rows.T, mode="r")) * plan.gains + plan.offsets
+        outcomes = simulate_mphd(setup, sol, plan, r, shots, seed=seed).outcomes
+        assert np.abs(outcomes - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_csv_export(self, tmp_path):
         setup = make_setup(rv.G_LIN4)
@@ -331,12 +369,39 @@ class TestSimulateMphd:
         result = simulate_mphd(setup, lin4_solutions()[0], plan, 1.0, shots=3, seed=0)
         path = tmp_path / "samples.csv"
         export_samples_csv(result, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "shot,mode,angle,outcome"
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines.pop() == b""
+        assert not any(b"\r" in line or b"\n" in line for line in lines)
+        assert lines[0] == b"shot,mode,angle,outcome"
         assert len(lines) == 1 + 3 * 4
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "0"
+        first = lines[1].split(b",")
+        assert first[0] == b"0" and first[1] == b"0"
         assert float(first[2]) == pytest.approx(0.1)
+
+    # (5000, 2) spans two of the writer's 4096-shot blocks
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (2000, 32), (5000, 2)])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, shape):
+        rng = np.random.default_rng(sum(shape))
+        outcomes = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 18, shape)
+        planted = [-0.0, 5e-324, 1e-300, 1e17]
+        outcomes.flat[rng.choice(outcomes.size, min(4, outcomes.size), replace=False)] = planted[: outcomes.size]
+        angles = rng.uniform(0.0, np.pi, shape[1])
+        n = shape[1]
+        result = SimulationResult(
+            outcomes=outcomes, angles=angles, sample_mean=np.zeros(n), sample_cov=np.zeros((n, n)),
+            analytic_mean=np.zeros(n), analytic_cov=np.zeros((n, n)), staged_cov=np.zeros((2 * n, 2 * n)),
+            direct_cov=np.zeros((2 * n, 2 * n)), staged_vs_direct_residual=0.0,
+        )
+        export_samples_csv(result, tmp_path / "samples.csv")
+        with open(tmp_path / "reference.csv", "w", newline="", encoding="ascii") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["shot", "mode", "angle", "outcome"])
+            for shot in range(shape[0]):
+                for mode in range(n):
+                    writer.writerow(
+                        [shot, mode, repr(float(angles[mode])), repr(float(outcomes[shot, mode]))]
+                    )
+        assert (tmp_path / "samples.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestRunGateProgram:
@@ -423,6 +488,14 @@ class TestRunGateProgram:
         _, ver = run_gate_program(program, state, 0.0, seed=0)
         assert not ver.passed
         assert ver.cov_distance > 0.5
+
+    @pytest.mark.parametrize("r", [30.0, 50.0])
+    def test_output_mean_carries_no_outcome_rounding(self, r):
+        # the outcomes grow as e^{r}; the corrected mean must not inherit their rounding
+        state = GaussianState(mean=[100.0, -40.0], cov=np.diag([np.exp(-2.0), np.exp(2.0)]))
+        _, ver = run_gate_program(fourier_program(), state, r, seed=0)
+        assert ver.mean_distance <= 1e-12
+        assert ver.passed
 
     def test_mean_distance_gates_passed(self):
         program = fourier_program()
