@@ -49,10 +49,8 @@ from .gsim import (
     vacuum,
 )
 from .matcore import (
-    ALL_BRANCHES,
     DEFAULT_TOL,
     DiagonalUnitary,
-    diag_sqrt_branches,
     frobenius_distance,
     is_real_orthogonal,
     is_unitary,

@@ -30,6 +30,7 @@ from . import gsim, mbqc, modes, synth
 from .errors import ConfigError, MPHDError
 from .matcore import DiagonalUnitary, as_complex_matrix
 from .presets import _TARGET_FORMS, NAMED_TARGETS, expand_preset
+from .synth import _mphd_unitary
 
 SCHEMA_VERSION = 1
 
@@ -76,6 +77,16 @@ def _check_keys(doc: dict, allowed: set, context: str) -> None:
         raise ConfigError(
             f"unknown key(s) {sorted(unknown)} in {context}; allowed: {sorted(allowed)}"
         )
+
+
+def _check_routes(config: dict) -> None:
+    """Reject user keys that the chosen detection route would not read."""
+    if "detection" in config and (unread := {"modes", "pixels", "opo_phases"} & set(config)):
+        raise ConfigError(f"'detection' gives G itself; {sorted(unread)} would be ignored")
+    mode_cfg = config.get("modes")
+    if isinstance(mode_cfg, dict) and "file" in mode_cfg:
+        if unread := {"n", "grid_points", "domain"} & set(mode_cfg):
+            raise ConfigError(f"'modes.file' sets the basis; {sorted(unread)} would be ignored")
 
 
 def validate_config(config: dict, command: str) -> None:
@@ -143,8 +154,9 @@ def _resolve_tolerance(config) -> float:
 def _resolve_detection(config):
     """Build the detection front end from the config; return (setup, echo).
 
-    An explicit detection.matrix wins over the modes/pixels/opo route and
-    stands for G itself, with identity dephasings.
+    An explicit detection.matrix stands for G itself, with identity
+    dephasings; it wins over modes/pixels/opo keys that only a preset filled
+    in (a user config giving both is rejected by ``_check_routes``).
     """
     if "detection" in config:
         if "matrix" not in config["detection"]:
@@ -309,20 +321,19 @@ def _solution_from_config(config, g) -> synth.SynthesisSolution:
         raise ConfigError("simulate needs 'solution' (inline) or 'solution_report'")
     if missing := {"phases", "gains"} - set(doc):
         raise ConfigError(f"solution is missing {sorted(missing)}")
-    phases = np.asarray(doc["phases"], dtype=float)
+    delta = DiagonalUnitary(doc["phases"])
     gains = np.asarray(doc["gains"], dtype=float)
-    delta = DiagonalUnitary(phases)
-    u_mphd = (gains * delta.diagonal()[None, :]) @ np.asarray(g, dtype=complex)
+    u_mphd = _mphd_unitary(gains, delta.phases, g)
     return synth.SynthesisSolution(
         delta_lo=delta, gains=gains, u_mphd=u_mphd, residual=float("nan"), branch_id=None
     )
 
 
 def _parse_branch(text, n) -> tuple:
-    bits = tuple(int(c) for c in str(text))
-    if len(bits) != n or any(b not in (0, 1) for b in bits):
+    text = str(text)
+    if len(text) != n or set(text) - {"0", "1"}:
         raise ConfigError(f"branch must be {n} bits of 0/1, got {text!r}")
-    return bits
+    return tuple(map(int, text))
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +555,11 @@ def run(argv=None) -> int:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ConfigError("config root must be a JSON object")
+        # preset fragments may carry keys that a route or a command does not
+        # read; user-supplied keys stay subject to strict validation
+        _check_routes(config)
         user_keys = set(config)
         config = expand_preset(config)
-        # preset fragments may carry keys other commands do not consume;
-        # user-supplied keys stay subject to strict validation
         for key in list(config):
             if key not in ALLOWED_KEYS[args.command] and key not in user_keys:
                 del config[key]

@@ -4,14 +4,14 @@ Conventions used throughout the package:
 
 * complex matrices are plain ``numpy`` arrays (``complex128``);
 * diagonal unitaries are stored as phase vectors (:class:`DiagonalUnitary`),
-  so every diagonal entry has unit modulus by construction;
+  so every diagonal entry has unit modulus by construction (square-root
+  branches are sign flips of the principal solution in :mod:`mphd.synth`);
 * real orthogonal matrices are plain real arrays validated with
   :func:`is_real_orthogonal`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +20,6 @@ from .errors import DimensionError, ValidationError
 
 #: Default tolerance for structure checks on analytically exact inputs.
 DEFAULT_TOL = 1e-9
-
-#: Selector value asking :func:`diag_sqrt_branches` for every branch.
-ALL_BRANCHES = "all"
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -109,61 +106,9 @@ class DiagonalUnitary:
         """Dense complex matrix representation."""
         return np.diag(self.diagonal())
 
-    def conj(self) -> "DiagonalUnitary":
-        return DiagonalUnitary(-self.phases)
-
     @classmethod
     def identity(cls, n: int) -> "DiagonalUnitary":
         return cls(np.zeros(n))
-
-    @classmethod
-    def from_diagonal(cls, diag, tol: float = DEFAULT_TOL) -> "DiagonalUnitary":
-        """Build from complex diagonal entries, requiring unit modulus within ``tol``."""
-        z = np.atleast_1d(np.asarray(diag, dtype=complex))
-        if z.ndim != 1:
-            raise DimensionError("diagonal must be a 1-D vector")
-        if np.abs(np.abs(z) - 1.0).max() > tol:
-            raise ValidationError("diagonal entries are not unit modulus")
-        return cls(np.angle(z))
-
-
-def diag_sqrt_branches(d: DiagonalUnitary, selector=ALL_BRANCHES):
-    """Square-root branches of a diagonal unitary.
-
-    The principal root takes the half-angle of ``arg(d_kk)`` wrapped to
-    ``(-pi, pi]``, so its phases lie in ``(-pi/2, pi/2]``. Branch bit ``k``
-    flips the sign of the k-th principal entry (adds ``pi`` to its phase).
-    Every branch satisfies ``Delta . Delta == D`` exactly in phase
-    arithmetic.
-
-    Parameters
-    ----------
-    d : DiagonalUnitary
-        The diagonal unitary to take the square root of.
-    selector : sequence of {0, 1} or ``ALL_BRANCHES``
-        A bit-vector choosing one branch, or ``ALL_BRANCHES`` for the full
-        list of ``2**N`` branches ordered as binary counting over bits.
-
-    Returns
-    -------
-    DiagonalUnitary or list of DiagonalUnitary
-    """
-    half = wrap_angle(d.phases) / 2.0
-    if isinstance(selector, str):
-        if selector != ALL_BRANCHES:
-            raise ValidationError(f"unknown selector {selector!r}")
-        return [
-            DiagonalUnitary(half + np.pi * np.asarray(bits, dtype=float))
-            for bits in itertools.product((0, 1), repeat=d.dim)
-        ]
-    bits = np.asarray(selector, dtype=float)
-    if bits.shape != (d.dim,):
-        raise DimensionError(
-            f"selector length {bits.shape} does not match dimension {d.dim}"
-        )
-    if not np.all((bits == 0) | (bits == 1)):
-        raise ValidationError("selector must contain only bits 0/1")
-    return DiagonalUnitary(half + np.pi * bits)
 
 
 def procrustes_best_orthogonal(b) -> np.ndarray:

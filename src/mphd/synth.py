@@ -4,9 +4,10 @@ Given a fixed front-end matrix ``G`` and a target unitary ``U_th``, the
 pipeline can realize ``U_th = O . Delta_LO . G`` with tunable local-oscillator
 pixel phases ``Delta_LO`` and real orthogonal digital gains ``O``. This is
 possible exactly iff ``U'^T U'`` is diagonal with unit-modulus entries, where
-``U' = U_th G^dag``; then every square-root branch ``Delta_LO`` of that
-diagonal yields an exact solution ``O = U' Delta_LO^{-1}``. Targets that fail
-the test can still be approximated in Frobenius distance.
+``U' = U_th G^dag``; then each of the ``2**N`` square-root branches
+``Delta_LO`` of that diagonal yields an exact solution ``O = U' Delta_LO^{-1}``,
+and every branch is the principal (half-angle) solution with sign flips.
+Targets that fail the test can still be approximated in Frobenius distance.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .matcore import (
     DEFAULT_TOL,
     DiagonalUnitary,
     as_complex_matrix,
-    diag_sqrt_branches,
     frobenius_distance,
     is_real_orthogonal,
     is_unitary,
     procrustes_best_orthogonal,
+    wrap_angle,
 )
 
 
@@ -117,11 +118,15 @@ def feasibility(u_th, g, tol: float = DEFAULT_TOL) -> FeasibilityReport:
     )
 
 
-def _solution_from_branch(report: FeasibilityReport, g, u_th, bits) -> SynthesisSolution:
-    d = DiagonalUnitary.from_diagonal(
-        report.d_diagonal() / np.abs(report.d_diagonal())
-    )
-    delta = diag_sqrt_branches(d, bits)
+def _mphd_unitary(gains, phases, g) -> np.ndarray:
+    """The detector unitary ``O . diag(e^{i phases}) . G``."""
+    return (gains * np.exp(1j * phases)[None, :]) @ g
+
+
+def _principal_solution(report: FeasibilityReport, g, u_th) -> SynthesisSolution:
+    """The branch with half-angle phases ``wrap_angle(arg d_kk) / 2`` in ``(-pi/2, pi/2]``."""
+    d = report.d_diagonal()
+    delta = DiagonalUnitary(wrap_angle(np.angle(d / np.abs(d))) / 2.0)
     o_complex = report.u_prime * np.conj(delta.diagonal())[None, :]
     ortho_tol = max(100 * report.tol, 1e-10)
     if not is_real_orthogonal(o_complex, ortho_tol):
@@ -130,13 +135,25 @@ def _solution_from_branch(report: FeasibilityReport, g, u_th, bits) -> Synthesis
             "a bug or a barely-feasible report"
         )
     gains = o_complex.real
-    u_mphd = (gains * delta.diagonal()[None, :]) @ np.asarray(g, dtype=complex)
+    u_mphd = _mphd_unitary(gains, delta.phases, g)
+    u_mphd.setflags(write=False)
     return SynthesisSolution(
         delta_lo=delta,
         gains=gains,
         u_mphd=u_mphd,
         residual=frobenius_distance(u_mphd, u_th),
-        branch_id=tuple(int(b) for b in bits),
+        branch_id=(0,) * report.dim,
+    )
+
+
+def _flipped(principal: SynthesisSolution, bits: np.ndarray) -> SynthesisSolution:
+    """Branch ``bits``: gain columns times ``1 - 2b``, phases plus ``pi b``."""
+    return SynthesisSolution(
+        delta_lo=DiagonalUnitary(principal.delta_lo.phases + np.pi * bits),
+        gains=principal.gains * (1 - 2 * bits),
+        u_mphd=principal.u_mphd,
+        residual=principal.residual,
+        branch_id=tuple(bits.tolist()),
     )
 
 
@@ -146,44 +163,36 @@ def solve_exact(
     """Construct the exact solution for one square-root branch.
 
     ``branch`` is a bit-vector over principal-root sign flips (default: the
-    principal branch, all zeros). Requires ``report.feasible``.
+    principal branch, all zeros); every entry must be exactly 0 or 1.
+    Requires ``report.feasible``. The returned ``u_mphd`` is read-only.
     """
     if not report.feasible:
         raise FeasibilityError(
             f"target failed the feasibility test (offdiag {report.offdiag_residual:.2e}, "
             f"modulus {report.modulus_residual:.2e}, tol {report.tol:.2e})"
         )
-    bits = np.zeros(report.dim, dtype=int) if branch is None else np.asarray(branch, dtype=int)
+    bits = np.zeros(report.dim, dtype=int) if branch is None else np.asarray(branch)
     if bits.shape != (report.dim,):
         raise DimensionError(f"branch must have length {report.dim}")
-    return _solution_from_branch(report, g, u_th, bits)
+    if not np.all((bits == 0) | (bits == 1)):
+        raise ValidationError(f"branch must contain only bits 0/1, got {branch!r}")
+    return _flipped(_principal_solution(report, g, u_th), bits.astype(int))
 
 
 def enumerate_solutions(report: FeasibilityReport, g, u_th) -> list[SynthesisSolution]:
     """All ``2**N`` exact solutions, ordered by branch bits as binary counting.
 
-    Branch ``b`` is the principal solution with the signs ``1 - 2b`` applied
-    to the gain columns and to ``Delta_LO`` (phases ``half + pi b``), so every
-    branch shares its orthogonality check, residual and read-only ``u_mphd``.
-    At most 16 modes (~0.2 GB of solutions).
+    Every branch is the principal solution with sign flips, so all share its
+    orthogonality check, residual and read-only ``u_mphd``. At most 16 modes
+    (~0.2 GB of solutions).
     """
     if not report.feasible:
         raise FeasibilityError("cannot enumerate solutions of an infeasible problem")
     if report.dim > 16:
         raise CapacityError(f"2**{report.dim} branches is too many; use solve_exact per branch")
-    principal = _solution_from_branch(report, g, u_th, np.zeros(report.dim, dtype=int))
-    principal.u_mphd.setflags(write=False)
-    branches = list(itertools.product((0, 1), repeat=report.dim))
-    return [
-        SynthesisSolution(
-            delta_lo=DiagonalUnitary(principal.delta_lo.phases + np.pi * flips),
-            gains=principal.gains * (1 - 2 * flips),
-            u_mphd=principal.u_mphd,
-            residual=principal.residual,
-            branch_id=bits,
-        )
-        for bits, flips in zip(branches, np.array(branches))
-    ]
+    principal = _principal_solution(report, g, u_th)
+    branches = np.array(list(itertools.product((0, 1), repeat=report.dim)))
+    return [_flipped(principal, bits) for bits in branches]
 
 
 def verify_solution(sol: SynthesisSolution, u_th, g, tol: float = 1e-10) -> float:
@@ -193,7 +202,7 @@ def verify_solution(sol: SynthesisSolution, u_th, g, tol: float = 1e-10) -> floa
     within ``tol`` of ``sol.u_mphd`` (a NaN fails it).
     """
     u = as_complex_matrix(u_th, "u_th")
-    product = (sol.gains * sol.delta_lo.diagonal()[None, :]) @ np.asarray(g, dtype=complex)
+    product = _mphd_unitary(sol.gains, sol.delta_lo.phases, g)
     if product.shape != u.shape:
         raise DimensionError(f"shape mismatch: product {product.shape} vs u_th {u.shape}")
     if not (np.linalg.norm(product - sol.u_mphd) <= tol):
@@ -204,9 +213,7 @@ def verify_solution(sol: SynthesisSolution, u_th, g, tol: float = 1e-10) -> floa
 
 
 def _objective(gains, phases, g, u_th) -> float:
-    return float(
-        np.linalg.norm((gains * np.exp(1j * phases)[None, :]) @ g - u_th)
-    )
+    return float(np.linalg.norm(_mphd_unitary(gains, phases, g) - u_th))
 
 
 def solve_approx(
@@ -284,14 +291,12 @@ def solve_approx(
         if best[0] < 1e-12:
             break
     f_val, phases, gains, trace, converged = best
-    delta = DiagonalUnitary(phases)
-    u_mphd = (gains * delta.diagonal()[None, :]) @ gm
+    u_mphd = _mphd_unitary(gains, phases, gm)
     solution = SynthesisSolution(
-        delta_lo=delta,
+        delta_lo=DiagonalUnitary(phases),
         gains=gains,
         u_mphd=u_mphd,
         residual=frobenius_distance(u_mphd, u),
-        branch_id=None,
     )
     return ApproxResult(
         solution=solution,

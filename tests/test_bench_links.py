@@ -1,0 +1,51 @@
+"""Tier-1 guards on what the bench takes from ``mphd``.
+
+The bench's tracer and decimal oracle import only the standard library and
+numpy, so they load here by file path; nothing under ``bench/`` is imported
+as a package.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mphd
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def load(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load
+
+
+def test_traced_functions_exist(load):
+    # a deleted or renamed public function would otherwise surface only in the bench
+    missing = [
+        f"mphd.{module}.{name}"
+        for module, names in load("spans").TRACED.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"mphd.{module}"), name, None))
+    ]
+    assert missing == []
+
+
+def test_fourier_gate_matches_decimal_oracle(load):
+    oracle = load("oracle")
+    program, state = mphd.fourier_program(), mphd.squeezed_input(1, 1.0, ["q"])
+    for r in range(21):
+        output, _ = mphd.run_gate_program(program, state, float(r), seed=1)
+        reference = oracle.gate_reference(float(r), 1.0)[0]
+        assert np.linalg.norm(output.cov - reference) <= 1e-14, f"r = {r}"

@@ -32,6 +32,7 @@ IDENTITY_SIMULATION = {
     "shots": 2,
 }
 EDGE = {"graph": {"edges": [[0, 1]]}}
+IDENTITY_DETECTION = {"detection": {"matrix": {"re": np.eye(2).tolist()}}, "target": {"identity": True}}
 
 
 class TestSynthesize:
@@ -130,6 +131,18 @@ class TestSynthesize:
         code, report = run_command(tmp_path, "synthesize", doc)
         assert code == 0
         assert report["feasibility"]["feasible"] is True
+
+    def test_preset_keys_stay_allowed_on_either_route(self, tmp_path):
+        # the preset fills in keys the user's route ignores; only user keys are checked
+        basis_path = tmp_path / "basis.txt"
+        mphd.save_mode_basis(mphd.flip_mode_basis(4, grid_points=512), basis_path)
+        doc = {"preset": "lin4", "modes": {"file": str(basis_path)}}
+        code, report = run_command(tmp_path, "synthesize", doc)
+        assert code == 0
+        assert report["config"]["modes"]["family"] == "file"
+        code, report = run_command(tmp_path, "synthesize", {"preset": "cz2", "modes": {"n": 2}})
+        assert code == 0
+        assert report["config"]["modes"]["n"] == 2
 
     def test_unknown_key_rejected(self, tmp_path):
         code, _ = run_command(tmp_path, "synthesize", {"preset": "lin4", "shotz": 5})
@@ -395,6 +408,7 @@ class TestUsageErrors:
             ("simulate", {**IDENTITY_SIMULATION, "csv_path": ["s.csv"]}, []),
             ("cluster", EDGE, ["--seed", "4"]),
             ("cluster", EDGE, ["--branch", "1001"]),
+            ("synthesize", {"preset": "lin4"}, ["--branch", "10x1"]),
             ("cluster", {**EDGE, "tolerances": {"feasibility": 1e-3}}, []),
             ("cluster", EDGE, ["--tol", "1e-3"]),
             ("simulate", IDENTITY_SIMULATION, ["--tol", "1e-7"]),
@@ -402,18 +416,30 @@ class TestUsageErrors:
             ("simulate", {**IDENTITY_SIMULATION, "solution": {"phases": [0.0] * 4}}, []),
             ("simulate", {**IDENTITY_SIMULATION, "detection": {}}, []),
             ("simulate", {"preset": "identity", "solution_report": "list.json", "shots": 2}, []),
+            ("synthesize", {**IDENTITY_DETECTION, "pixels": {"count": 7}}, []),
+            ("synthesize", {**IDENTITY_DETECTION, "opo_phases": [1, 2, 3]}, []),
+            ("cluster", {**EDGE, "detection": IDENTITY_DETECTION["detection"], "modes": {"n": 2}}, []),
+            (
+                "synthesize",
+                {"modes": {"file": "basis.txt", "n": 9, "grid_points": 5}, "target": {"identity": True}},
+                [],
+            ),
+            ("synthesize", {"preset": "lin4", "modes": {"file": "basis.txt", "domain": [0, 2]}}, []),
         ],
         ids=[
             "family", "structure", "gate-shots", "cluster-seed", "simulate-tolerances",
             "inline-solution-branch", "csv-path-type", "cluster--seed", "cluster--branch",
+            "branch-not-bits",
             "cluster-tolerances-bare-graph", "cluster--tol-bare-graph",
             "simulate--tol", "no--config", "solution-without-gains", "detection-without-matrix",
-            "solution-report-list-root",
+            "solution-report-list-root", "detection-with-pixels", "detection-with-opo-phases",
+            "detection-with-modes", "modes-file-with-n", "preset-modes-file-with-domain",
         ],
     )
     def test_exits_1_with_message(self, tmp_path, monkeypatch, capsys, command, doc, flags):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "list.json").write_text("[]")
+        mphd.save_mode_basis(mphd.flip_mode_basis(4, grid_points=256), tmp_path / "basis.txt")
         if doc is None:
             code, report = run([command, *flags]), None
         else:

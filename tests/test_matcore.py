@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import refvals as rv
 from mphd import (
-    ALL_BRANCHES,
     DiagonalUnitary,
-    diag_sqrt_branches,
     frobenius_distance,
     is_real_orthogonal,
     is_unitary,
@@ -84,62 +80,6 @@ class TestFrobeniusDistance:
             frobenius_distance(np.eye(2), np.eye(3))
 
 
-class TestDiagSqrtBranches:
-    def test_scalar_all_branches(self):
-        branches = diag_sqrt_branches(DiagonalUnitary([0.0]), ALL_BRANCHES)
-        assert len(branches) == 2
-        values = [complex(b.diagonal()[0]) for b in branches]
-        np.testing.assert_allclose(sorted(v.real for v in values), [-1.0, 1.0], atol=1e-15)
-        np.testing.assert_allclose([abs(v.imag) for v in values], 0.0, atol=1e-15)
-
-    def test_principal_half_angle(self):
-        d = DiagonalUnitary([np.pi / 2])
-        principal = diag_sqrt_branches(d, [0])
-        assert complex(principal.diagonal()[0]) == pytest.approx(np.exp(1j * np.pi / 4))
-
-    def test_published_branch_present(self):
-        d = DiagonalUnitary.from_diagonal(rv.D_LIN4)
-        branches = diag_sqrt_branches(d, ALL_BRANCHES)
-        assert len(branches) == 16
-        errs = [np.abs(b.diagonal() - rv.DELTA_LIN4).max() for b in branches]
-        assert min(errs) <= 1e-12
-
-    def test_selector_validation(self):
-        d = DiagonalUnitary([0.0, 1.0])
-        with pytest.raises(DimensionError):
-            diag_sqrt_branches(d, [0])
-        with pytest.raises(ValidationError):
-            diag_sqrt_branches(d, [0, 2])
-        with pytest.raises(ValidationError):
-            diag_sqrt_branches(d, "everything")
-
-    @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5))
-    @settings(max_examples=60, deadline=None)
-    def test_square_recovers_input(self, phases):
-        d = DiagonalUnitary(phases)
-        for branch in diag_sqrt_branches(d, ALL_BRANCHES):
-            squared = branch.diagonal() ** 2
-            assert np.abs(squared - d.diagonal()).max() <= 1e-12
-
-    @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4))
-    @settings(max_examples=40, deadline=None)
-    def test_branch_count_and_distinctness(self, phases):
-        d = DiagonalUnitary(phases)
-        branches = diag_sqrt_branches(d, ALL_BRANCHES)
-        assert len(branches) == 2 ** d.dim
-        diags = np.array([b.diagonal() for b in branches])
-        for i in range(len(branches)):
-            for j in range(i + 1, len(branches)):
-                assert np.abs(diags[i] - diags[j]).max() > 1e-9
-
-    @given(st.floats(-50.0, 50.0))
-    @settings(max_examples=60, deadline=None)
-    def test_principal_range(self, phi):
-        principal = diag_sqrt_branches(DiagonalUnitary([phi]), [0])
-        half = principal.phases[0]
-        assert -np.pi / 2 < half <= np.pi / 2 + 1e-15
-
-
 class TestWrapAngle:
     def test_principal_interval(self):
         for phi in np.linspace(-20, 20, 401):
@@ -183,11 +123,3 @@ class TestDiagonalUnitary:
     def test_unit_modulus_by_construction(self):
         d = DiagonalUnitary([0.1, 2.0, -40.0])
         np.testing.assert_allclose(np.abs(d.diagonal()), 1.0, atol=0)
-
-    def test_from_diagonal_rejects_non_unit(self):
-        with pytest.raises(ValidationError):
-            DiagonalUnitary.from_diagonal([1.0, 1.1])
-
-    def test_conj_inverts(self):
-        d = DiagonalUnitary([0.3, -1.2])
-        np.testing.assert_allclose(d.diagonal() * d.conj().diagonal(), 1.0, atol=1e-15)

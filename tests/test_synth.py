@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import refvals as rv
 from mphd import (
@@ -13,6 +15,7 @@ from mphd import (
     solve_approx,
     solve_exact,
     verify_solution,
+    wrap_angle,
 )
 from mphd.errors import (
     CapacityError,
@@ -108,6 +111,18 @@ class TestSolveExact:
         with pytest.raises(DimensionError):
             solve_exact(report, rv.G_LIN4, rv.G_LIN4, branch=(0, 1))
 
+    @pytest.mark.parametrize("branch", [[0.7, 1], [0, 2], [-1, 0]])
+    def test_branch_entries_must_be_bits(self, branch):
+        g = np.eye(2, dtype=complex)
+        with pytest.raises(ValidationError):
+            solve_exact(feasibility(g, g), g, g, branch)
+
+    def test_product_read_only(self):
+        report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
+        sol = solve_exact(report, rv.G_LIN4, rv.CLUSTER_4, branch=(1, 0, 0, 1))
+        with pytest.raises(ValueError):
+            sol.u_mphd[0, 0] = 0.0
+
 
 class TestEnumerateSolutions:
     def test_sixteen_branches(self):
@@ -150,19 +165,22 @@ class TestEnumerateSolutions:
             yield g, (rv.random_orthogonal(rng, n) * np.exp(1j * phases)[None, :]) @ g
 
     def test_derived_branches_equal_solve_exact(self):
+        # reference built here: phases half + pi b, gains Re(U' e^{-i(half + pi b)})
         for g, u in self.problems():
             report = feasibility(u, g)
+            half = wrap_angle(np.angle(report.d_diagonal())) / 2
             sols = enumerate_solutions(report, g, u)
             assert len(sols) == 2**report.dim
             for sol in sols:
-                ref = solve_exact(report, g, u, sol.branch_id)
-                assert sol.branch_id == ref.branch_id
-                np.testing.assert_allclose(sol.gains, ref.gains, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(
-                    sol.delta_lo.phases, ref.delta_lo.phases, rtol=0, atol=1e-12
-                )
-                np.testing.assert_allclose(sol.u_mphd, ref.u_mphd, rtol=0, atol=1e-12)
-                assert abs(sol.residual - ref.residual) <= 1e-12
+                phases = half + np.pi * np.array(sol.branch_id)
+                gains = (report.u_prime * np.exp(-1j * phases)[None, :]).real
+                product = (gains * np.exp(1j * phases)[None, :]) @ g
+                for got in (sol, solve_exact(report, g, u, sol.branch_id)):
+                    assert got.branch_id == sol.branch_id
+                    np.testing.assert_allclose(got.gains, gains, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(got.delta_lo.phases, phases, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(got.u_mphd, product, rtol=0, atol=1e-12)
+                    assert abs(got.residual - np.linalg.norm(product - u)) <= 1e-12
 
     def test_branches_share_one_read_only_product(self):
         report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
@@ -171,6 +189,43 @@ class TestEnumerateSolutions:
         with pytest.raises(ValueError):
             sols[0].u_mphd[0, 0] = 0.0
         assert sols[3].branch_id == (0, 0, 1, 1)
+
+
+class TestBranchFamily:
+    """The 2**N square-root branches Delta_b of the feasibility diagonal D."""
+
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_diagonal_targets(self, phases):
+        g = np.eye(len(phases), dtype=complex)
+        u = np.diag(np.exp(1j * np.asarray(phases)))
+        report = feasibility(u, g)
+        sols = enumerate_solutions(report, g, u)
+        assert len({s.branch_id for s in sols}) == len(sols) == 2 ** len(phases)
+        diags = np.array([s.delta_lo.diagonal() for s in sols])
+        gaps = np.abs(diags[:, None, :] - diags[None, :, :]).max(axis=2)
+        assert gaps[~np.eye(len(sols), dtype=bool)].min() > 1e-9
+        d_phase = np.angle(report.d_diagonal())
+        for sol in sols:
+            error = np.angle(np.exp(1j * (2 * sol.delta_lo.phases - d_phase)))
+            assert np.abs(error).max() <= 1e-12
+
+    @given(st.floats(-50.0, 50.0))
+    @example(-np.pi / 2)  # arg d rounds to exactly -pi; wrap_angle maps it to +pi/2
+    @settings(max_examples=60, deadline=None)
+    def test_principal_range(self, phi):
+        g, u = np.eye(1, dtype=complex), np.array([[np.exp(1j * phi)]])
+        report = feasibility(u, g)
+        half = solve_exact(report, g, u).delta_lo.phases[0]
+        assert -np.pi / 2 < half <= np.pi / 2
+        assert abs(np.exp(2j * half) - report.d_diagonal()[0]) <= 1e-12
+
+    def test_published_lin4_branch_present(self):
+        report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
+        sols = enumerate_solutions(report, rv.G_LIN4, rv.CLUSTER_4)
+        errs = [np.abs(s.delta_lo.diagonal() - rv.DELTA_LIN4).max() for s in sols]
+        assert min(errs) <= 1e-12
+        assert sols[int(np.argmin(errs))].branch_id == (1, 0, 0, 1)
 
 
 class TestVerifySolution:
