@@ -79,13 +79,13 @@ def _check_keys(doc: dict, allowed: set, context: str) -> None:
         )
 
 
-def _check_routes(config: dict) -> None:
-    """Reject user keys that the chosen detection route would not read."""
-    if "detection" in config and (unread := {"modes", "pixels", "opo_phases"} & set(config)):
+def _check_routes(config: dict, user: dict) -> None:
+    """Reject keys of the ``user`` config that the merged config's route would not read."""
+    if "detection" in config and (unread := {"modes", "pixels", "opo_phases"} & set(user)):
         raise ConfigError(f"'detection' gives G itself; {sorted(unread)} would be ignored")
-    mode_cfg = config.get("modes")
-    if isinstance(mode_cfg, dict) and "file" in mode_cfg:
-        if unread := {"n", "grid_points", "domain"} & set(mode_cfg):
+    mode_cfg, user_modes = config.get("modes"), user.get("modes")
+    if isinstance(mode_cfg, dict) and "file" in mode_cfg and isinstance(user_modes, dict):
+        if unread := {"n", "grid_points", "domain"} & set(user_modes):
             raise ConfigError(f"'modes.file' sets the basis; {sorted(unread)} would be ignored")
 
 
@@ -125,10 +125,6 @@ def mat_display(m) -> list:
     return rows
 
 
-def vec_display(v) -> list:
-    return mat_display(np.asarray(v)[None, :])[0]
-
-
 def _matrix_echo(m) -> dict:
     return {"matrix": mat_to_json(m), "display": mat_display(m)}
 
@@ -156,7 +152,7 @@ def _resolve_detection(config):
 
     An explicit detection.matrix stands for G itself, with identity
     dephasings; it wins over modes/pixels/opo keys that only a preset filled
-    in (a user config giving both is rejected by ``_check_routes``).
+    in (``_check_routes`` rejects user keys that the route would ignore).
     """
     if "detection" in config:
         if "matrix" not in config["detection"]:
@@ -291,7 +287,7 @@ def _solution_to_json(sol: synth.SynthesisSolution) -> dict:
     doc = {
         "phases": sol.delta_lo.phases.tolist(),
         "delta_diag": mat_to_json(sol.delta_lo.diagonal()[None, :]),
-        "delta_display": vec_display(sol.delta_lo.diagonal()),
+        "delta_display": mat_display(sol.delta_lo.diagonal())[0],
         "gains": sol.gains.tolist(),
         "gains_display": mat_display(sol.gains),
     }
@@ -557,12 +553,12 @@ def run(argv=None) -> int:
             raise ConfigError("config root must be a JSON object")
         # preset fragments may carry keys that a route or a command does not
         # read; user-supplied keys stay subject to strict validation
-        _check_routes(config)
-        user_keys = set(config)
-        config = expand_preset(config)
+        user = config
+        config = expand_preset(user)
         for key in list(config):
-            if key not in ALLOWED_KEYS[args.command] and key not in user_keys:
+            if key not in ALLOWED_KEYS[args.command] and key not in user:
                 del config[key]
+        _check_routes(config, user)
         validate_config(config, args.command)
         for key, (_, _, nested, _) in _FLAGS.items():
             value = getattr(args, key, None)

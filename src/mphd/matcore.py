@@ -27,7 +27,7 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
 
@@ -90,7 +90,7 @@ class DiagonalUnitary:
         phases = np.atleast_1d(np.asarray(self.phases, dtype=float))
         if phases.ndim != 1:
             raise DimensionError("phases must be a 1-D vector of angles")
-        if not np.all(np.isfinite(phases)):
+        if not np.isfinite(phases).all():
             raise ValidationError("phases contain non-finite values")
         object.__setattr__(self, "phases", phases)
 
@@ -111,6 +111,18 @@ class DiagonalUnitary:
         return cls(np.zeros(n))
 
 
+def _diagonal_rows(phases: np.ndarray) -> list[DiagonalUnitary]:
+    """One :class:`DiagonalUnitary` per row of a 2-D block, checked for finite values once."""
+    if not np.isfinite(phases).all():
+        raise ValidationError("phases contain non-finite values")
+    rows = []
+    for row in phases:
+        unitary = object.__new__(DiagonalUnitary)
+        object.__setattr__(unitary, "phases", row)
+        rows.append(unitary)
+    return rows
+
+
 def procrustes_best_orthogonal(b) -> np.ndarray:
     """Orthogonal matrix maximizing ``trace(O B)``.
 
@@ -121,7 +133,7 @@ def procrustes_best_orthogonal(b) -> np.ndarray:
     arr = np.asarray(b, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square real matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError("matrix contains non-finite entries")
     p, _, qt = np.linalg.svd(arr)
     return qt.T @ p.T

@@ -144,9 +144,10 @@ def _angles(theta_3: float) -> list:
 
 def _fourier_circuit(name: str, theta_3: float, offsets=None) -> GateProgram:
     plan = MeasurementPlan(angles=_angles(theta_3), offsets=offsets)
+    c, s = np.cos(theta_3), np.sin(theta_3)
     return GateProgram(
         plan=plan,
-        target_gate=FOURIER_GATE.copy(),
+        target_gate=np.array([[c, -s], [s, c]]) @ FOURIER_GATE,
         d_meas=DiagonalUnitary(plan.angles),
         u_th=build_u_tf(linear_cluster_3(), theta_3),
         name=name,
@@ -157,7 +158,8 @@ def fourier_program(theta_3: float = 0.0) -> GateProgram:
     """Program implementing the Fourier transform on the input mode.
 
     Measurement angles (pi/2, pi/2, 0, theta_3) with zero offsets; theta_3
-    only rotates the read-out quadrature of the output mode.
+    rotates the output mode, so the target gate is ``R(theta_3) F`` with
+    ``R(t) = [[cos t, -sin t], [sin t, cos t]]``.
     """
     return _fourier_circuit("fourier", theta_3)
 
@@ -168,6 +170,6 @@ def displacement_program(s: float, theta_3: float = 0.0) -> GateProgram:
     Identical circuit and angles; the offset realizes a quadrature
     displacement, so the target action is the Fourier gate followed by a
     q displacement of magnitude ``s`` on the output (in this package's
-    [q, p] = 2i units).
+    [q, p] = 2i units), all rotated by ``R(theta_3)``.
     """
     return _fourier_circuit("displacement", theta_3, offsets=[0.0, 0.0, float(s), 0.0])

@@ -40,7 +40,7 @@ class ModeBasis:
         lo, hi = float(self.domain[0]), float(self.domain[1])
         if hi <= lo:
             raise ValidationError(f"empty domain [{lo}, {hi}]")
-        if not np.all(np.isfinite(samples)):
+        if not np.isfinite(samples).all():
             raise ValidationError("mode samples contain non-finite values")
         object.__setattr__(self, "domain", (lo, hi))
         object.__setattr__(self, "samples", samples)

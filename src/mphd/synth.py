@@ -12,7 +12,6 @@ Targets that fail the test can still be approximated in Frobenius distance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (
 from .matcore import (
     DEFAULT_TOL,
     DiagonalUnitary,
+    _diagonal_rows,
     as_complex_matrix,
     frobenius_distance,
     is_real_orthogonal,
@@ -120,7 +120,7 @@ def feasibility(u_th, g, tol: float = DEFAULT_TOL) -> FeasibilityReport:
 
 def _mphd_unitary(gains, phases, g) -> np.ndarray:
     """The detector unitary ``O . diag(e^{i phases}) . G``."""
-    return (gains * np.exp(1j * phases)[None, :]) @ g
+    return (gains * np.exp(1j * phases)) @ g
 
 
 def _principal_solution(report: FeasibilityReport, g, u_th) -> SynthesisSolution:
@@ -146,15 +146,15 @@ def _principal_solution(report: FeasibilityReport, g, u_th) -> SynthesisSolution
     )
 
 
-def _flipped(principal: SynthesisSolution, bits: np.ndarray) -> SynthesisSolution:
-    """Branch ``bits``: gain columns times ``1 - 2b``, phases plus ``pi b``."""
-    return SynthesisSolution(
-        delta_lo=DiagonalUnitary(principal.delta_lo.phases + np.pi * bits),
-        gains=principal.gains * (1 - 2 * bits),
-        u_mphd=principal.u_mphd,
-        residual=principal.residual,
-        branch_id=tuple(bits.tolist()),
-    )
+def _branches(principal: SynthesisSolution, bits: np.ndarray) -> list[SynthesisSolution]:
+    """A branch per row ``b`` of the 0/1 block: gain columns times ``1 - 2b``, phases + ``pi b``."""
+    deltas = _diagonal_rows(principal.delta_lo.phases + np.pi * bits)
+    gains = principal.gains[None] * (1 - 2 * bits)[:, None, :]
+    u_mphd, residual = principal.u_mphd, principal.residual
+    return [
+        SynthesisSolution(delta, gain, u_mphd, residual, branch_id)
+        for delta, gain, branch_id in zip(deltas, gains, map(tuple, bits.tolist()))
+    ]
 
 
 def solve_exact(
@@ -176,23 +176,23 @@ def solve_exact(
         raise DimensionError(f"branch must have length {report.dim}")
     if not np.all((bits == 0) | (bits == 1)):
         raise ValidationError(f"branch must contain only bits 0/1, got {branch!r}")
-    return _flipped(_principal_solution(report, g, u_th), bits.astype(int))
+    return _branches(_principal_solution(report, g, u_th), bits.astype(int)[None])[0]
 
 
 def enumerate_solutions(report: FeasibilityReport, g, u_th) -> list[SynthesisSolution]:
     """All ``2**N`` exact solutions, ordered by branch bits as binary counting.
 
     Every branch is the principal solution with sign flips, so all share its
-    orthogonality check, residual and read-only ``u_mphd``. At most 16 modes
-    (~0.2 GB of solutions).
+    orthogonality check, residual and read-only ``u_mphd``; gains and phases
+    are rows of one block each. At most 16 modes (about 2.9 KB of resident
+    memory per solution, 0.18 GB in all).
     """
     if not report.feasible:
         raise FeasibilityError("cannot enumerate solutions of an infeasible problem")
     if report.dim > 16:
         raise CapacityError(f"2**{report.dim} branches is too many; use solve_exact per branch")
-    principal = _principal_solution(report, g, u_th)
-    branches = np.array(list(itertools.product((0, 1), repeat=report.dim)))
-    return [_flipped(principal, bits) for bits in branches]
+    bits = (np.arange(2**report.dim)[:, None] >> np.arange(report.dim)[::-1]) & 1
+    return _branches(_principal_solution(report, g, u_th), bits)
 
 
 def verify_solution(sol: SynthesisSolution, u_th, g, tol: float = 1e-10) -> float:
@@ -205,11 +205,13 @@ def verify_solution(sol: SynthesisSolution, u_th, g, tol: float = 1e-10) -> floa
     product = _mphd_unitary(sol.gains, sol.delta_lo.phases, g)
     if product.shape != u.shape:
         raise DimensionError(f"shape mismatch: product {product.shape} vs u_th {u.shape}")
-    if not (np.linalg.norm(product - sol.u_mphd) <= tol):
+    diff = product - sol.u_mphd
+    if not (np.sqrt(np.vdot(diff, diff).real) <= tol):
         raise InternalConsistencyError(
             "stored u_mphd differs from the recomputed product beyond tolerance"
         )
-    return float(np.linalg.norm(product - u))
+    diff = product - u
+    return float(np.sqrt(np.vdot(diff, diff).real))
 
 
 def _objective(gains, phases, g, u_th) -> float:

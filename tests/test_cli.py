@@ -144,6 +144,13 @@ class TestSynthesize:
         assert code == 0
         assert report["config"]["modes"]["n"] == 2
 
+    def test_preset_detection_rejects_ignored_keys(self, tmp_path, capsys):
+        # cz2 gives detection.matrix, so the user's pixels and opo_phases would go unread
+        doc = {"preset": "cz2", "pixels": {"count": 5}, "opo_phases": [1, 2]}
+        code, report = run_command(tmp_path, "synthesize", doc)
+        assert (code, report) == (1, None)
+        assert "['opo_phases', 'pixels'] would be ignored" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path):
         code, _ = run_command(tmp_path, "synthesize", {"preset": "lin4", "shotz": 5})
         assert code == 1

@@ -434,6 +434,16 @@ class TestRunGateProgram:
         assert out.uncertainty_residual() >= -1e-6
         assert ver.passed
 
+    @pytest.mark.parametrize("theta_3", [0.4, 1.0])
+    def test_rotated_output_passes(self, theta_3):
+        # theta_3 rotates the output mode: the program implements R(theta_3) F
+        state = squeezed_input(1, 1.0, ["q"])
+        out, ver = run_gate_program(fourier_program(theta_3), state, 8.0, seed=1)
+        _, ref = run_gate_program(fourier_program(), state, 8.0, seed=1)
+        assert ver.passed
+        assert ver.cov_distance == pytest.approx(ref.cov_distance, rel=1e-6)
+        np.testing.assert_allclose(ver.input_transfer, fourier_program(theta_3).target_gate, atol=1e-5)
+
     def test_corrected_mean_deterministic(self):
         program = fourier_program()
         state = GaussianState(mean=[0.7, -0.3], cov=np.diag([np.exp(-2.0), np.exp(2.0)]))

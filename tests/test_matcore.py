@@ -11,6 +11,7 @@ from mphd import (
     wrap_angle,
 )
 from mphd.errors import DimensionError, ValidationError
+from mphd.matcore import _diagonal_rows
 
 
 class TestIsUnitary:
@@ -123,3 +124,18 @@ class TestDiagonalUnitary:
     def test_unit_modulus_by_construction(self):
         d = DiagonalUnitary([0.1, 2.0, -40.0])
         np.testing.assert_allclose(np.abs(d.diagonal()), 1.0, atol=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_phases_rejected(self, bad):
+        with pytest.raises(ValidationError, match="phases contain non-finite values"):
+            DiagonalUnitary([0.0, bad])
+        with pytest.raises(ValidationError, match="phases contain non-finite values"):
+            _diagonal_rows(np.array([[0.0, 0.0], [0.0, bad]]))
+
+    def test_rows_of_a_phase_block(self):
+        block = np.array([[0.1, 2.0], [-40.0, 0.0], [3.0, 1e-300]])
+        rows = _diagonal_rows(block)
+        assert [type(d) for d in rows] == [DiagonalUnitary] * 3
+        for d, row in zip(rows, block):
+            assert np.array_equal(d.phases, DiagonalUnitary(row).phases)
+            assert d.dim == 2

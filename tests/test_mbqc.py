@@ -113,7 +113,15 @@ class TestMeasurementPlan:
 
 class TestFourierProgram:
     def test_target_gate(self):
-        np.testing.assert_allclose(fourier_program().target_gate, FOURIER_GATE)
+        # exactly the Fourier gate at theta_3 = 0, so reports keep their bytes
+        assert fourier_program().target_gate.tobytes() == FOURIER_GATE.tobytes()
+
+    @pytest.mark.parametrize("theta_3", [0.4, 1.0, -2.5])
+    def test_target_gate_rotated(self, theta_3):
+        c, s = np.cos(theta_3), np.sin(theta_3)
+        expected = np.array([[-s, -c], [c, -s]])  # R(theta_3) F
+        for program in (fourier_program(theta_3), displacement_program(1.0, theta_3)):
+            np.testing.assert_allclose(program.target_gate, expected, atol=1e-15)
 
     def test_angles_and_offsets(self):
         prog = fourier_program()

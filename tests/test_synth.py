@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -155,11 +157,11 @@ class TestEnumerateSolutions:
 
 
     @staticmethod
-    def problems():
+    def problems(max_n=8):
         yield rv.G_LIN4, rv.CLUSTER_4
         yield rv.G_GATE, fourier_program().u_th
         rng = np.random.default_rng(88)
-        for n in range(1, 9):
+        for n in range(1, max_n + 1):
             g = rv.random_unitary(rng, n)
             phases = rng.uniform(0, 2 * np.pi, n)
             yield g, (rv.random_orthogonal(rng, n) * np.exp(1j * phases)[None, :]) @ g
@@ -181,6 +183,23 @@ class TestEnumerateSolutions:
                     np.testing.assert_allclose(got.delta_lo.phases, phases, rtol=0, atol=1e-12)
                     np.testing.assert_allclose(got.u_mphd, product, rtol=0, atol=1e-12)
                     assert abs(got.residual - np.linalg.norm(product - u)) <= 1e-12
+
+    def test_branches_are_principal_sign_flips(self):
+        # bit for bit, in binary-counting order, for planted targets up to N = 12
+        for g, u in self.problems(max_n=12):
+            report = feasibility(u, g)
+            principal = solve_exact(report, g, u)
+            sols = enumerate_solutions(report, g, u)
+            counting = list(itertools.product((0, 1), repeat=report.dim))
+            assert [s.branch_id for s in sols] == counting
+            assert all(type(bit) is int for s in sols for bit in s.branch_id)
+            for bits, sol in zip(np.array(counting), sols):
+                assert np.array_equal(sol.gains, principal.gains * (1 - 2 * bits))
+                assert np.array_equal(sol.delta_lo.phases, principal.delta_lo.phases + np.pi * bits)
+                assert sol.u_mphd is sols[0].u_mphd
+                assert sol.residual == principal.residual
+            assert np.array_equal(sols[0].u_mphd, principal.u_mphd)
+            assert not sols[0].u_mphd.flags.writeable
 
     def test_branches_share_one_read_only_product(self):
         report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
