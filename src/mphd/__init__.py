@@ -36,7 +36,6 @@ from .gsim import (
     GaussianState,
     HomodyneRecord,
     SimulationResult,
-    SymplecticMap,
     apply,
     export_samples_csv,
     homodyne_measure,

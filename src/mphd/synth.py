@@ -199,7 +199,8 @@ def verify_solution(sol: SynthesisSolution, u_th, g, tol: float = 1e-10) -> floa
     """Recompute ``O Delta_LO G`` from stored parameters; return its distance to ``U_th``.
 
     Also enforces the stored-product invariant: the recomputed matrix must be
-    within ``tol`` of ``sol.u_mphd`` (a NaN fails it).
+    within ``tol`` of ``sol.u_mphd`` (a NaN fails it); a non-finite ``g``
+    raises ``ValidationError`` instead.
     """
     u = as_complex_matrix(u_th, "u_th")
     product = _mphd_unitary(sol.gains, sol.delta_lo.phases, g)
@@ -207,6 +208,8 @@ def verify_solution(sol: SynthesisSolution, u_th, g, tol: float = 1e-10) -> floa
         raise DimensionError(f"shape mismatch: product {product.shape} vs u_th {u.shape}")
     diff = product - sol.u_mphd
     if not (np.sqrt(np.vdot(diff, diff).real) <= tol):
+        if not np.all(np.isfinite(g)):
+            raise ValidationError("g contains non-finite values")
         raise InternalConsistencyError(
             "stored u_mphd differs from the recomputed product beyond tolerance"
         )

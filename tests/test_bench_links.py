@@ -1,8 +1,8 @@
 """Tier-1 guards on what the bench takes from ``mphd``.
 
-The bench's tracer and decimal oracle import only the standard library and
-numpy, so they load here by file path; nothing under ``bench/`` is imported
-as a package.
+The bench's tracer, decimal oracle and checks import only the standard
+library, numpy and each other, so they load here by file path; nothing under
+``bench/`` is imported as a package.
 """
 
 import importlib
@@ -49,3 +49,19 @@ def test_fourier_gate_matches_decimal_oracle(load):
         output, _ = mphd.run_gate_program(program, state, float(r), seed=1)
         reference = oracle.gate_reference(float(r), 1.0)[0]
         assert np.linalg.norm(output.cov - reference) <= 1e-14, f"r = {r}"
+
+
+def test_chain_built_as_the_bench_builds_it_passes_its_check(load, monkeypatch):
+    # the call shapes of the bench's homodyne chains: an API change fails here, not only there
+    monkeypatch.syspath_prepend(str(BENCH))
+    checks = load("checks")
+    n = 6
+    u = mphd.cluster_unitary(mphd.path_adjacency(n)).u
+    state = mphd.apply(mphd.symplectic_from_unitary(u), mphd.squeezed_input(n, 1.0))
+    s = checks.symplectic(u)
+    angles = np.random.default_rng(n).uniform(0.0, np.pi, n - 1)
+    records, current = [], state
+    for k, theta in enumerate(angles):
+        rec, current = mphd.homodyne_measure(current, 0, theta, rng_seed=k)
+        records.append(rec)
+    checks.check_chain(records, current, np.zeros(2 * n), s @ checks.squeezed_cov(n, 1.0) @ s.T, angles)

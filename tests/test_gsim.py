@@ -6,10 +6,10 @@ import pytest
 import refvals as rv
 from mphd import (
     DiagonalUnitary,
+    GateProgram,
     GaussianState,
     MeasurementPlan,
     SimulationResult,
-    SymplecticMap,
     apply,
     displacement_program,
     enumerate_solutions,
@@ -86,18 +86,18 @@ def joint_conditioning_oracle(program, input_state, r):
 
 class TestSymplecticFromUnitary:
     def test_identity(self):
-        np.testing.assert_allclose(symplectic_from_unitary(np.eye(3)).s, np.eye(6))
+        np.testing.assert_allclose(symplectic_from_unitary(np.eye(3)), np.eye(6))
 
     def test_single_mode_rotation(self):
         theta = 0.7
-        s = symplectic_from_unitary(np.array([[np.exp(1j * theta)]])).s
+        s = symplectic_from_unitary(np.array([[np.exp(1j * theta)]]))
         expected = np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
         np.testing.assert_allclose(s, expected, atol=1e-15)
 
     def test_cluster_generator_is_symplectic(self):
-        s = symplectic_from_unitary(rv.CLUSTER_4).s
+        s = symplectic_from_unitary(rv.CLUSTER_4)
         om = omega(4)
         np.testing.assert_allclose(s @ om @ s.T, om, atol=1e-10)
 
@@ -137,7 +137,7 @@ class TestStates:
 class TestApply:
     def test_identity(self):
         state = squeezed_input(2, 1.0)
-        out = apply(SymplecticMap(np.eye(4)), state)
+        out = apply(np.eye(4), state)
         np.testing.assert_allclose(out.cov, state.cov)
 
     def test_rotation_swaps_variances(self):
@@ -153,7 +153,7 @@ class TestApply:
         for _ in range(10):
             u = rv.random_unitary(rng, 3)
             d = rng.uniform(-1, 1, 3)
-            squeeze = SymplecticMap(np.diag(np.concatenate([np.exp(d), np.exp(-d)])))
+            squeeze = np.diag(np.concatenate([np.exp(d), np.exp(-d)]))
             s = symplectic_from_unitary(u)
             out = apply(squeeze, apply(s, state))
             assert np.linalg.det(out.cov) == pytest.approx(
@@ -163,7 +163,21 @@ class TestApply:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            apply(SymplecticMap(np.eye(4)), squeezed_input(3, 0.5))
+            apply(np.eye(4), squeezed_input(3, 0.5))
+
+    def test_symplectic_bound_scales_with_the_map(self):
+        # the rounding of S Omega S^T grows as ||S||^2 (1.6e-10 at r = 8)
+        def rot(t):
+            return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+        for r in range(4, 21):
+            s = rot(0.3) @ np.diag([np.exp(r), np.exp(-r)]) @ rot(1.1)
+            assert apply(s, vacuum(1)).n_modes == 1
+
+    @pytest.mark.parametrize("s", [2 * np.eye(2), np.diag([np.exp(1.0), np.exp(-2.0)])])
+    def test_non_symplectic_rejected(self, s):
+        with pytest.raises(ValidationError):
+            apply(s, vacuum(1))
 
 
 class TestHomodyneMeasure:
@@ -253,6 +267,14 @@ class TestNullifierVariances:
         ratio = variances[3.0] / variances[2.0]
         np.testing.assert_allclose(ratio, np.exp(-2.0), atol=1e-6)
 
+    def test_ratios_exact_from_the_factor(self):
+        # exact variances (2, 3, 3, 2) e^{-2r}; contracting cov gave 0 and < 0 by r = 10
+        s = symplectic_from_unitary(rv.CLUSTER_4)
+        for r in range(4, 17):
+            variances = nullifier_variances(apply(s, squeezed_input(4, r)), rv.PATH_4)
+            assert np.all(variances > 0), f"r = {r}"
+            np.testing.assert_allclose(variances * np.exp(2 * r), [2, 3, 3, 2], rtol=1e-9, err_msg=f"r = {r}")
+
     def test_large_squeezing_limit(self):
         s = symplectic_from_unitary(rv.CLUSTER_4)
         state = apply(s, squeezed_input(4, 8.0))
@@ -269,13 +291,13 @@ class TestSimulateMphd:
         # also preserve the symplectic form
         sol = lin4_solutions()[9]
         s_total = (
-            symplectic_from_unitary(sol.gains.astype(complex)).s
-            @ symplectic_from_unitary(sol.delta_lo.matrix()).s
-            @ symplectic_from_unitary(rv.G_LIN4).s
+            symplectic_from_unitary(sol.gains.astype(complex))
+            @ symplectic_from_unitary(sol.delta_lo.matrix())
+            @ symplectic_from_unitary(rv.G_LIN4)
         )
         om = omega(4)
         assert np.abs(s_total @ om @ s_total.T - om).max() <= 1e-10
-        SymplecticMap(s_total)  # constructor re-validates
+        apply(s_total, vacuum(4))  # apply re-validates
 
     def test_staged_equals_direct_for_all_branches(self):
         setup = make_setup(rv.G_LIN4)
@@ -356,7 +378,7 @@ class TestSimulateMphd:
         # the gains folded into the factor move the samples by rounding only
         setup, sol, plan = fourier_pipeline(n)
         r, shots, seed = 1.0, 1000, 21
-        staged = symplectic_from_unitary(setup.g).s * np.exp(np.repeat([r, -r], n))
+        staged = symplectic_from_unitary(setup.g) * np.exp(np.repeat([r, -r], n))
         rows = np.sin(plan.angles)[:, None] * staged[:n] + np.cos(plan.angles)[:, None] * staged[n:]
         z = np.random.default_rng(seed).standard_normal((shots, n))
         expected = (z @ np.linalg.qr(rows.T, mode="r")) * plan.gains + plan.offsets
@@ -521,9 +543,26 @@ class TestRunGateProgram:
         out, _ = run_gate_program(program, vacuum(1), 3.0, seed=0)
         assert out.uncertainty_residual() >= -1e-9
 
+    def test_rectangular_input_factor(self):
+        # a conditioned mode keeps a 2 x 3 factor; its output equals that of its refactored covariance
+        bs = symplectic_from_unitary(rv.S2 / 2 * np.array([[1, 1j], [1j, 1]]))
+        _, state = homodyne_measure(apply(bs, squeezed_input(2, 1.0)), 1, 0.3, rng_seed=4)
+        assert state.factor.shape == (2, 3)
+        out, ver = run_gate_program(fourier_program(), state, 6.0, seed=2)
+        ref_out, ref = run_gate_program(fourier_program(), GaussianState(state.mean, state.cov), 6.0, seed=2)
+        np.testing.assert_allclose(out.cov, ref_out.cov, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.mean, ref_out.mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ver.outcomes, ref.outcomes, rtol=1e-12)
+
     def test_rejects_multimode_input(self):
         with pytest.raises(DimensionError):
             run_gate_program(fourier_program(), vacuum(2), 1.0)
+
+    def test_rejects_plan_of_another_size(self):
+        program = fourier_program()
+        short = GateProgram(MeasurementPlan(angles=[0.0] * 3), program.target_gate, program.d_meas, program.u_th)
+        with pytest.raises(DimensionError):
+            run_gate_program(short, vacuum(1), 1.0)
 
 
 class TestStateValidation:
@@ -536,6 +575,10 @@ class TestStateValidation:
         GaussianState(mean=[0.0, 0.0], cov=[[big, 1.0], [1.0 + 1e-3, big]])
         with pytest.raises(ValidationError):
             GaussianState(mean=[0.0, 0.0], cov=[[big, 1.0], [1.0 + 1e-6 * big, big]])
+
+    def test_non_psd_cov_rejected(self):
+        with pytest.raises(ValidationError, match="positive semidefinite"):
+            GaussianState(mean=np.zeros(4), cov=np.diag([1.0, 1.0, -1.0, 1.0]))
 
     def test_odd_mean_rejected(self):
         with pytest.raises(DimensionError):

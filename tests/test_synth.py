@@ -296,6 +296,13 @@ class TestVerifySolution:
         with pytest.raises(InternalConsistencyError):
             verify_solution(tampered, rv.CLUSTER_4, rv.G_LIN4)
 
+    def test_nan_in_g_is_a_validation_error(self):
+        sol = solve_exact(feasibility(rv.CLUSTER_4, rv.G_LIN4), rv.G_LIN4, rv.CLUSTER_4)
+        g = rv.G_LIN4.copy()
+        g[0, 0] = np.nan
+        with pytest.raises(ValidationError, match="g contains"):
+            verify_solution(sol, rv.CLUSTER_4, g)
+
     def test_target_shape_checked(self):
         report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
         sol = solve_exact(report, rv.G_LIN4, rv.CLUSTER_4)
