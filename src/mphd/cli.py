@@ -2,6 +2,12 @@
 
 Configs are JSON documents validated against the per-command key schema
 ``ALLOWED_KEYS``: unknown keys are rejected and every accepted key is read.
+A ``preset`` is merged under the user's config by :func:`merge`: user keys
+win, a block listed in ``_CHOICES`` takes one of its alternatives (the one
+the user picks displaces the preset's other ones, and two alternatives from
+the user are a usage error), and the preset's keys the command does not read
+are dropped. ``optimizer`` takes only ``max_iters`` and ``restarts``; its
+seed is ``seed`` and its tolerance ``tolerances.feasibility``.
 The schema also gives each command its flags: ``--seed``, ``--branch`` and
 ``--tol`` exist only where the command reads ``seed``, ``branch`` and
 ``tolerances`` (``synthesize`` and ``gate`` take all three, ``cluster`` only
@@ -17,6 +23,8 @@ and ``simulate`` never exit 2.
 from __future__ import annotations
 
 import argparse
+import copy
+import dataclasses
 import json
 import logging
 import os
@@ -28,8 +36,8 @@ import numpy as np
 from . import cluster as cluster_mod
 from . import gsim, mbqc, modes, synth
 from .errors import ConfigError, MPHDError
-from .matcore import DiagonalUnitary, as_complex_matrix
-from .presets import _TARGET_FORMS, NAMED_TARGETS, expand_preset
+from .matcore import DEFAULT_TOL, DiagonalUnitary, as_complex_matrix
+from .presets import _TARGET_FORMS, NAMED_TARGETS, PRESETS
 from .synth import _mphd_unitary
 
 SCHEMA_VERSION = 1
@@ -47,6 +55,7 @@ ALLOWED_KEYS = {
     | {"seed", "target", "solution", "solution_report", "branch", "plan", "r", "shots", "csv_path"},
 }
 
+#: Blocks merged key by key and checked against these keys; other values are leaves.
 _NESTED_KEYS = {
     "modes": {"family", "n", "grid_points", "domain", "lo_index", "file"},
     "pixels": {"count", "boundaries"},
@@ -55,10 +64,20 @@ _NESTED_KEYS = {
     "graph": {"adjacency", "edges", "n"},
     "gate": {"name", "s", "theta_3"},
     "tolerances": {"feasibility"},
-    "optimizer": {"max_iters", "restarts", "seed", "tol"},
+    "optimizer": {"max_iters", "restarts"},
     "plan": {"angles", "offsets", "gains"},
     "solution": {"phases", "gains"},
     "freedom": {"euler", "matrix"},
+}
+
+#: Per block (``None``: the top level), the alternatives of which a config gives one.
+_CHOICES = {
+    None: ({"detection"}, {"modes", "pixels", "opo_phases"}),
+    "modes": ({"file"}, {"n", "grid_points", "domain"}),
+    "pixels": ({"count"}, {"boundaries"}),
+    "graph": ({"adjacency"}, {"edges", "n"}),
+    "freedom": ({"euler"}, {"matrix"}),
+    "target": tuple({form} for form in sorted(_TARGET_FORMS)),
 }
 
 #: Flags by the schema key they override: (flag, type, nested key or None, help).
@@ -69,34 +88,35 @@ _FLAGS = {
 }
 
 
-def _check_keys(doc: dict, allowed: set, context: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{context} must be a JSON object")
-    unknown = set(doc) - allowed
-    if unknown:
+def merge(base: dict, user: dict, allowed: set, block: str | None = None) -> dict:
+    """Lay the ``user`` config ``block`` over the preset's ``base`` one.
+
+    User keys must lie in ``allowed`` and give at most one alternative of each
+    ``_CHOICES`` entry; the alternative the user picks displaces the base's
+    other ones, and base keys outside ``allowed`` are dropped. Blocks named in
+    ``_NESTED_KEYS`` merge recursively; any other user value replaces the
+    base's whole.
+    """
+    where = f"config.{block}" if block else "config"
+    if not isinstance(user, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    if unknown := set(user) - allowed:
         raise ConfigError(
-            f"unknown key(s) {sorted(unknown)} in {context}; allowed: {sorted(allowed)}"
+            f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
         )
-
-
-def _check_routes(config: dict, user: dict) -> None:
-    """Reject keys of the ``user`` config that the merged config's route would not read."""
-    if "detection" in config and (unread := {"modes", "pixels", "opo_phases"} & set(user)):
-        raise ConfigError(f"'detection' gives G itself; {sorted(unread)} would be ignored")
-    mode_cfg, user_modes = config.get("modes"), user.get("modes")
-    if isinstance(mode_cfg, dict) and "file" in mode_cfg and isinstance(user_modes, dict):
-        if unread := {"n", "grid_points", "domain"} & set(user_modes):
-            raise ConfigError(f"'modes.file' sets the basis; {sorted(unread)} would be ignored")
-
-
-def validate_config(config: dict, command: str) -> None:
-    _check_keys(config, ALLOWED_KEYS[command], f"{command} config")
-    for key, sub_allowed in _NESTED_KEYS.items():
-        if key in config:
-            _check_keys(config[key], sub_allowed, f"config.{key}")
-    for form in ("gate", "graph"):
-        if form in config.get("target", {}):
-            _check_keys(config["target"][form], _NESTED_KEYS[form], f"config.target.{form}")
+    alternatives = _CHOICES.get(block.rpartition(".")[2] if block else None, ())
+    picked = [alt for alt in alternatives if alt & set(user)]
+    if len(picked) > 1:
+        given = [sorted(alt & set(user)) for alt in picked]
+        raise ConfigError(f"{where} gives {given}: alternatives, of which one is read")
+    keep = allowed - (set().union(*alternatives) - picked[0] if picked else set())
+    out = {key: copy.deepcopy(value) for key, value in base.items() if key in keep}
+    for key, value in user.items():
+        if key in _NESTED_KEYS:
+            sub = out.get(key) if isinstance(out.get(key), dict) else {}
+            value = merge(sub, value, _NESTED_KEYS[key], f"{block}.{key}" if block else key)
+        out[key] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +164,14 @@ def feasibility_to_json(fre) -> dict:
 # config resolution
 
 def _resolve_tolerance(config) -> float:
-    return float(config.get("tolerances", {}).get("feasibility", 1e-9))
+    return float(config.get("tolerances", {}).get("feasibility", DEFAULT_TOL))
 
 
 def _resolve_detection(config):
     """Build the detection front end from the config; return (setup, echo).
 
     An explicit detection.matrix stands for G itself, with identity
-    dephasings; it wins over modes/pixels/opo keys that only a preset filled
-    in (``_check_routes`` rejects user keys that the route would ignore).
+    dephasings; ``merge`` keeps it and the modes/pixels/opo keys apart.
     """
     if "detection" in config:
         if "matrix" not in config["detection"]:
@@ -169,7 +188,11 @@ def _resolve_detection(config):
         )
         return setup, {"detection": _matrix_echo(g)}
     if "modes" not in config:
-        raise ConfigError("config needs either 'detection.matrix' or a 'modes' block")
+        unread = sorted({"pixels", "opo_phases"} & set(config))
+        raise ConfigError(
+            "config needs either 'detection.matrix' or a 'modes' block"
+            + (f"; {unread} would be ignored" if unread else "")
+        )
     mode_cfg = config["modes"]
     family = mode_cfg.get("family", "flip")
     if family != "flip":
@@ -240,9 +263,6 @@ def _resolve_target(config, g):
     tdoc = config.get("target")
     if tdoc is None:
         raise ConfigError("config is missing the 'target' block")
-    forms = _TARGET_FORMS & set(tdoc)
-    if len(forms) > 1:
-        raise ConfigError(f"target is ambiguous: {sorted(forms)} all given")
     if tdoc.get("identity"):
         return np.asarray(g, dtype=complex).copy(), {"identity": True}
     if "named" in tdoc:
@@ -357,14 +377,12 @@ def cmd_synthesize(config: dict) -> tuple[dict, int]:
             sols = [synth.solve_exact(fre, g, u_th)]
         report["solutions"] = [_solution_to_json(s) for s in sols]
         return report, 0
-    opts = config.get("optimizer", {})
     result = synth.solve_approx(
         u_th,
         g,
-        max_iters=int(opts.get("max_iters", 200)),
-        restarts=int(opts.get("restarts", 8)),
-        seed=int(config.get("seed", opts.get("seed", 0))),
-        tol=float(opts.get("tol", tol)),
+        seed=int(config.get("seed", 0)),
+        tol=tol,
+        **{key: int(value) for key, value in config.get("optimizer", {}).items()},
     )
     report["approx"] = {
         "residual": result.solution.residual,
@@ -409,7 +427,7 @@ def cmd_cluster(config: dict) -> tuple[dict, int]:
             "validation": {"passed": validation.passed, "residuals": validation.residuals},
         }
     )
-    if "modes" in config or "detection" in config:
+    if set().union(*_CHOICES[None]) & set(config):
         tol = _resolve_tolerance(config)
         setup, det_echo = _resolve_detection(config)
         report["config"].update(det_echo)
@@ -435,11 +453,17 @@ def cmd_gate(config: dict) -> tuple[dict, int]:
         "target_gate": np.asarray(program.target_gate).tolist(),
     }
     if config.get("r") is not None:
+        # run the detector that was synthesized: O . Delta_LO . G of the leading solution
+        echo = report["config"]
+        g = mat_from_json(echo["g"] if "g" in echo else echo["detection"]["matrix"])
+        lead = (report["solutions"] or [report["approx"]["solution"]])[0]
+        u_detector = _mphd_unitary(np.asarray(lead["gains"]), np.asarray(lead["phases"]), g)
+        detector = dataclasses.replace(program, u_th=u_detector)
         r = float(config["r"])
         r_in = float(config.get("input_squeezing", 1.0))
         input_state = gsim.squeezed_input(1, r_in, ["q"])
         output, verification = gsim.run_gate_program(
-            program, input_state, r, seed=int(config.get("seed", 0))
+            detector, input_state, r, seed=int(config.get("seed", 0))
         )
         report["verification"] = {
             "r": r,
@@ -548,18 +572,13 @@ def run(argv=None) -> int:
     started = time.perf_counter()
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
+            user = json.load(fh)
+        if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
-        # preset fragments may carry keys that a route or a command does not
-        # read; user-supplied keys stay subject to strict validation
-        user = config
-        config = expand_preset(user)
-        for key in list(config):
-            if key not in ALLOWED_KEYS[args.command] and key not in user:
-                del config[key]
-        _check_routes(config, user)
-        validate_config(config, args.command)
+        preset = PRESETS.get(str(user["preset"])) if "preset" in user else {}
+        if preset is None:
+            raise ConfigError(f"unknown preset {user['preset']!r}; available: {sorted(PRESETS)}")
+        config = merge(preset, user, ALLOWED_KEYS[args.command])
         for key, (_, _, nested, _) in _FLAGS.items():
             value = getattr(args, key, None)
             if value is not None:

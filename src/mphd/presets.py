@@ -7,14 +7,13 @@ import copy
 import numpy as np
 
 from .cluster import linear_cluster_4
-from .errors import ConfigError
 
 _FLIP4 = {
     "modes": {"family": "flip", "n": 4, "grid_points": 4096, "domain": [0.0, 1.0], "lo_index": 0},
     "pixels": {"count": 4},
 }
 
-#: Preset fragments; user-supplied config keys override these on a deep merge.
+#: Preset fragments; ``cli.merge`` lays the user's config over them.
 PRESETS: dict[str, dict] = {
     "identity": {
         **copy.deepcopy(_FLIP4),
@@ -53,44 +52,5 @@ NAMED_TARGETS = {
 }
 
 
-def deep_merge(base: dict, override: dict) -> dict:
-    """Recursively merge ``override`` into ``base`` (override wins)."""
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = deep_merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
 #: The forms a ``target`` block can take; exactly one is given.
 _TARGET_FORMS = frozenset({"matrix", "graph", "gate", "named", "identity"})
-
-
-def expand_preset(config: dict) -> dict:
-    """Replace a ``preset`` key with its fragment, user keys winning.
-
-    ``target`` is a choice block: when the user picks a different target form
-    than the preset, the preset's form is dropped rather than merged in.
-    Likewise a user ``modes`` block replaces a preset's explicit ``detection``
-    matrix.
-    """
-    if "preset" not in config:
-        return copy.deepcopy(config)
-    name = config["preset"]
-    if name not in PRESETS:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {sorted(PRESETS)}"
-        )
-    user = {k: v for k, v in config.items() if k != "preset"}
-    merged = deep_merge(PRESETS[name], user)
-    user_forms = _TARGET_FORMS & set(user.get("target", {}))
-    if user_forms and isinstance(merged.get("target"), dict):
-        merged["target"] = {
-            k: v for k, v in merged["target"].items() if k in user_forms
-        }
-    if "modes" in user and "detection" not in user:
-        merged.pop("detection", None)
-    merged["preset"] = name
-    return merged

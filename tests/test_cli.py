@@ -8,7 +8,8 @@ import pytest
 
 import mphd
 import refvals as rv
-from mphd.cli import mat_from_json, run
+from mphd.cli import _CHOICES, _NESTED_KEYS, ALLOWED_KEYS, mat_from_json, merge, run
+from mphd.presets import PRESETS
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -151,6 +152,60 @@ class TestSynthesize:
         assert (code, report) == (1, None)
         assert "['opo_phases', 'pixels'] would be ignored" in capsys.readouterr().err
 
+    def test_preset_detection_matrix_replaced_whole(self, tmp_path):
+        # the user's 3x3 matrix takes none of cz2's 2x2 'im' part
+        doc = {
+            "preset": "cz2",
+            "detection": {"matrix": {"re": np.eye(3).tolist()}},
+            "target": {"identity": True},
+        }
+        code, report = run_command(tmp_path, "synthesize", doc)
+        assert code == 0
+        np.testing.assert_array_equal(mat_from_json(report["config"]["detection"]["matrix"]), np.eye(3))
+
+    def test_preset_graph_edges_displace_its_adjacency(self, tmp_path):
+        doc = {"preset": "cz2", "target": {"graph": {"edges": [[0, 1, 0.5]]}}, "seed": 1}
+        code, report = run_command(tmp_path, "synthesize", doc)
+        assert code == 2
+        assert report["config"]["target"]["graph"]["adjacency"] == [[0.0, 0.5], [0.5, 0.0]]
+
+    def test_pixel_boundaries_of_an_equal_split_match_the_count(self, tmp_path):
+        _, counted = run_command(tmp_path, "synthesize", {"preset": "lin4"}, out="count.json")
+        doc = {"preset": "lin4", "pixels": {"boundaries": [0.0, 0.25, 0.5, 0.75, 1.0]}}
+        code, split = run_command(tmp_path, "synthesize", doc, out="split.json")
+        assert code == 0
+        np.testing.assert_allclose(
+            mat_from_json(split["config"]["g"]), mat_from_json(counted["config"]["g"]), atol=1e-12
+        )
+
+    def test_enumerate_false_gives_the_principal_branch(self, tmp_path):
+        code, report = run_command(tmp_path, "synthesize", {"preset": "lin4", "enumerate": False})
+        assert code == 0
+        assert [s["branch"] for s in report["solutions"]] == ["0000"]
+
+    def test_report_to_stdout_without_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"preset": "identity"})
+        assert run(["synthesize", "--config", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == "synthesize"
+        assert len(report["solutions"]) == 16
+
+    def test_optimizer_keys_reach_the_approx_block(self, tmp_path, monkeypatch):
+        calls = []
+        solve = mphd.synth.solve_approx
+
+        def spied(*args, **kwargs):
+            calls.append(kwargs)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(mphd.synth, "solve_approx", spied)
+        doc = {"preset": "cz2", "seed": 3, "optimizer": {"max_iters": 1, "restarts": 2}}
+        code, report = run_command(tmp_path, "synthesize", doc)
+        assert code == 2
+        assert calls == [{"seed": 3, "tol": 1e-9, "max_iters": 1, "restarts": 2}]
+        assert report["approx"]["iterations"] == 1
+        assert report["approx"]["converged"] is False
+
     def test_unknown_key_rejected(self, tmp_path):
         code, _ = run_command(tmp_path, "synthesize", {"preset": "lin4", "shotz": 5})
         assert code == 1
@@ -210,6 +265,15 @@ class TestCluster:
         code, report = run_command(tmp_path, "cluster", doc)
         assert code == 0
         assert report["validation"]["passed"] is True
+
+    def test_freedom_matrix(self, tmp_path):
+        m = mphd.cluster.euler_orthogonal(0.3, -0.2, 1.0)
+        doc = {"graph": {"edges": [[0, 1], [1, 2]]}, "freedom": {"matrix": m.tolist()}}
+        code, report = run_command(tmp_path, "cluster", doc)
+        assert code == 0
+        x = mat_from_json(report["u"]).real
+        np.testing.assert_allclose(x, np.asarray(report["x_s"]) @ m, atol=1e-12)
+        np.testing.assert_array_equal(report["freedom"], m)
 
     def test_edge_weight_not_counted_as_vertex(self, tmp_path):
         code, report = run_command(tmp_path, "cluster", {"graph": {"edges": [[0, 1, 3]]}})
@@ -271,6 +335,14 @@ class TestGate:
         assert ver["passed"] is True
         assert ver["cov_distance"] < 1e-2
         assert ver["mean_distance"] < 1e-4
+
+    def test_approximate_gate_verifies_the_synthesized_detector(self, tmp_path):
+        # theta_3 = 0.4 is infeasible over the flip-mode detector: the fitted one fails the gate
+        doc = {"preset": "fourier", "target": {"gate": {"theta_3": 0.4}}, "r": 6.0}
+        code, report = run_command(tmp_path, "gate", doc)
+        assert code == 2
+        assert report["verification"]["passed"] is False
+        assert report["verification"]["cov_distance"] > 1.0
 
     def test_program_built_once(self, tmp_path, monkeypatch):
         calls = []
@@ -432,6 +504,21 @@ class TestUsageErrors:
                 [],
             ),
             ("synthesize", {"preset": "lin4", "modes": {"file": "basis.txt", "domain": [0, 2]}}, []),
+            ("synthesize", {"preset": "cz2", "optimizer": {"seed": 3}}, []),
+            ("synthesize", {"preset": "cz2", "optimizer": {"tol": 1e-6}}, []),
+            (
+                "synthesize",
+                {"preset": "lin4", "pixels": {"count": 4, "boundaries": [0, 0.25, 0.5, 0.75, 1]}},
+                [],
+            ),
+            ("cluster", {"graph": {"adjacency": [[0, 1], [1, 0]], "edges": [[0, 1]]}}, []),
+            (
+                "cluster",
+                {"graph": {"edges": [[0, 1], [1, 2]]}, "freedom": {"euler": [0, 0, 0], "matrix": np.eye(3).tolist()}},
+                [],
+            ),
+            ("cluster", {**EDGE, "pixels": {"count": 2}}, []),
+            ("synthesize", {"preset": ["lin4"]}, []),
         ],
         ids=[
             "family", "structure", "gate-shots", "cluster-seed", "simulate-tolerances",
@@ -441,6 +528,9 @@ class TestUsageErrors:
             "simulate--tol", "no--config", "solution-without-gains", "detection-without-matrix",
             "solution-report-list-root", "detection-with-pixels", "detection-with-opo-phases",
             "detection-with-modes", "modes-file-with-n", "preset-modes-file-with-domain",
+            "optimizer-seed", "optimizer-tol", "pixels-count-with-boundaries",
+            "graph-adjacency-with-edges", "freedom-euler-with-matrix", "cluster-pixels-without-modes",
+            "preset-not-a-name",
         ],
     )
     def test_exits_1_with_message(self, tmp_path, monkeypatch, capsys, command, doc, flags):
@@ -458,6 +548,28 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert run(["simulate", "--help"]) == 0
         assert "--branch" in capsys.readouterr().out
+
+
+class TestSchemaTables:
+    def test_choice_and_nested_keys_are_allowed_in_their_block(self):
+        top = set().union(*ALLOWED_KEYS.values())
+        inner = set().union(*_NESTED_KEYS.values())
+        assert set(_NESTED_KEYS) <= top | inner
+        for block, alternatives in _CHOICES.items():
+            allowed = top if block is None else _NESTED_KEYS[block]
+            assert block is None or block in top | inner
+            for alternative in alternatives:
+                assert alternative <= allowed, (block, alternative)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets_merge_under_each_command_that_reads_a_target(self, name):
+        preset = PRESETS[name]
+        assert set(preset) <= set().union(*ALLOWED_KEYS.values())
+        for command, allowed in ALLOWED_KEYS.items():
+            if "target" in allowed:
+                fragment = {key: value for key, value in preset.items() if key in allowed}
+                assert merge({}, fragment, allowed) == fragment
+                assert merge(preset, {"preset": name}, allowed) == {**fragment, "preset": name}
 
 
 class TestHarness:
