@@ -206,14 +206,15 @@ def _resolve_detection(config):
             tuple(mode_cfg.get("domain", modes.DEFAULT_DOMAIN)),
         )
     lo_index = int(mode_cfg.get("lo_index", 0))
-    pixel_cfg = config.get("pixels", {"count": basis.n_modes})
+    pixel_cfg = config.get("pixels", {})
     if "boundaries" in pixel_cfg:
-        partition = modes.PixelPartition(np.asarray(pixel_cfg["boundaries"], dtype=float))
+        partition = modes.PixelPartition(pixel_cfg["boundaries"])
     else:
-        partition = modes.PixelPartition.equal(
-            int(pixel_cfg.get("count", basis.n_modes)), basis.domain
-        )
-    opo = config.get("opo_phases", [0.0] * basis.n_modes)
+        count = int(pixel_cfg.get("count", basis.n_modes))
+        partition = modes.PixelPartition.equal(count, basis.domain)
+    opo = config.get("opo_phases")
+    if opo is not None and np.size(opo) != basis.n_modes:
+        raise ConfigError(f"opo_phases gives {np.size(opo)} dephasings for {basis.n_modes} modes")
     setup = modes.detection_setup(basis, lo_index, partition, opo)
     echo = {
         "modes": {
@@ -224,7 +225,7 @@ def _resolve_detection(config):
             "lo_index": lo_index,
         },
         "pixels": {"boundaries": partition.boundaries.tolist()},
-        "opo_phases": list(map(float, opo)),
+        "opo_phases": setup.delta_opo.phases.tolist(),
         "u_t": mat_to_json(setup.u_t),
         "u_t_display": mat_display(setup.u_t),
         "g": mat_to_json(setup.g),
@@ -585,7 +586,8 @@ def run(argv=None) -> int:
                 config[key] = {**config.get(key, {}), nested: value} if nested else value
         log.info("running %s with config %s", args.command, args.config)
         report, code = COMMANDS[args.command](config)
-    except (MPHDError, OSError, json.JSONDecodeError) as exc:
+    except (MPHDError, OSError, ValueError, TypeError) as exc:
+        log.debug("%s failed", args.command, exc_info=True)
         sys.stderr.write(f"mphd {args.command}: error: {exc}\n")
         return 1
     _write_report(report, args.out, time.perf_counter() - started)

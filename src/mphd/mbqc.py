@@ -111,7 +111,6 @@ class GateProgram:
 
     plan: MeasurementPlan
     target_gate: np.ndarray
-    d_meas: DiagonalUnitary
     u_th: np.ndarray
     name: str = ""
 
@@ -148,7 +147,6 @@ def _fourier_circuit(name: str, theta_3: float, offsets=None) -> GateProgram:
     return GateProgram(
         plan=plan,
         target_gate=np.array([[c, -s], [s, c]]) @ FOURIER_GATE,
-        d_meas=DiagonalUnitary(plan.angles),
         u_th=build_u_tf(linear_cluster_3(), theta_3),
         name=name,
     )

@@ -3,6 +3,10 @@
 All mode functions live on a 1-D detector coordinate interval and are stored
 sampled at the midpoints of a uniform grid; integrals are composite midpoint
 sums, which are exact for step functions whose jumps sit on cell edges.
+
+Front-end defaults live here: a :data:`DEFAULT_GRID_POINTS` grid over
+:data:`DEFAULT_DOMAIN` and zero OPO dephasings. A mode file is plain text: a
+``domain_min domain_max grid_points`` header, then one row of samples per cell.
 """
 
 from __future__ import annotations
@@ -75,36 +79,24 @@ class ModeBasis:
 
 
 def _sequency_walsh_patterns(n_modes: int) -> np.ndarray:
-    """First ``n_modes`` sign patterns, ordered by number of sign changes.
+    """First ``n_modes`` sign patterns; pattern ``k`` has ``k`` sign changes.
 
-    Rows of the Sylvester matrix ``H[j, s] = (-1)^popcount(j & s)`` are sorted
-    by their sign-change count, which enumerates 0, 1, 2, ... flips. The sign
-    of each pattern is then fixed to be positive at the domain center (or at
-    the left edge when the pattern flips exactly at the center), matching the
-    four-mode square-profile example this library reproduces.
+    Built by doubling: pattern ``w_k`` on ``m`` segments gives
+    ``[w_k, (-1)^k w_k]`` and ``[w_k, -(-1)^k w_k]`` on ``2m``, the patterns
+    with ``2k`` and ``2k + 1`` flips. The sign of each pattern is then fixed to
+    be positive at the domain center (or at the left edge when the pattern
+    flips exactly at the center), matching the four-mode square-profile
+    example this library reproduces.
     """
-    if n_modes == 1:
-        return np.ones((1, 1))
-    nseg = 1 << (n_modes - 1).bit_length()
-    j = np.arange(nseg)
-    bits = j[:, None] & j[None, :]
-    h = np.where(_popcount(bits) % 2 == 0, 1.0, -1.0)
-    flips = np.count_nonzero(h[:, 1:] != h[:, :-1], axis=1)
-    order = np.argsort(flips, kind="stable")
-    patterns = h[order][:n_modes]
-    mid = nseg // 2
-    for row in patterns:
-        anchor = row[mid] if row[mid - 1] == row[mid] else row[0]
-        row *= anchor
-    return patterns
-
-
-def _popcount(a: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    while np.any(a):
-        out += a & 1
-        a = a >> 1
-    return out
+    patterns = np.ones((1, 1))
+    while len(patterns) < n_modes:
+        tail = patterns * (-1.0) ** np.arange(len(patterns))[:, None]
+        pairs = np.stack([np.hstack([patterns, tail]), np.hstack([patterns, -tail])], axis=1)
+        patterns = pairs.reshape(2 * len(patterns), -1)
+    patterns = patterns[:n_modes]
+    mid = patterns.shape[1] // 2
+    centered = patterns[:, mid - 1] == patterns[:, mid]
+    return patterns * np.where(centered, patterns[:, mid], patterns[:, 0])[:, None]
 
 
 def flip_mode_basis(
@@ -219,11 +211,7 @@ def detection_matrix(basis: ModeBasis, lo_index: int, partition: PixelPartition)
     Square (P == N) with pixel modes spanning the basis gives a unitary
     matrix within integration tolerance.
     """
-    return _overlaps(basis, pixel_modes(basis, lo_index, partition)[0])
-
-
-def _overlaps(basis: ModeBasis, pixel: np.ndarray) -> np.ndarray:
-    return basis.cell_width * (np.conj(pixel) @ basis.samples.T)
+    return detection_setup(basis, lo_index, partition).u_t
 
 
 def build_g(u_t, delta_opo: DiagonalUnitary) -> np.ndarray:
@@ -256,17 +244,15 @@ def detection_setup(
     partition: PixelPartition,
     opo_phases=None,
 ) -> DetectionSetup:
-    """Assemble a :class:`DetectionSetup` from a basis, partition and dephasings."""
+    """Assemble a :class:`DetectionSetup` from a basis, partition and dephasings.
+
+    ``opo_phases`` defaults to no dephasing (all zero), one per mode.
+    """
     pixel, kappa = pixel_modes(basis, lo_index, partition)
-    u_t = _overlaps(basis, pixel)
-    if opo_phases is None:
-        delta_opo = DiagonalUnitary.identity(basis.n_modes)
-    else:
-        delta_opo = DiagonalUnitary(opo_phases)
+    u_t = basis.cell_width * (np.conj(pixel) @ basis.samples.T)
+    delta_opo = DiagonalUnitary(np.zeros(basis.n_modes) if opo_phases is None else opo_phases)
     if delta_opo.dim != basis.n_modes:
-        raise DimensionError(
-            f"{delta_opo.dim} dephasings given for {basis.n_modes} modes"
-        )
+        raise DimensionError(f"{delta_opo.dim} dephasings given for {basis.n_modes} modes")
     return DetectionSetup(
         u_t=u_t,
         delta_opo=delta_opo,
@@ -281,50 +267,35 @@ def save_mode_basis(basis: ModeBasis, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# mode basis: <domain_min> <domain_max> <grid_points>, one mode per column\n")
         fh.write(f"{basis.domain[0]!r} {basis.domain[1]!r} {basis.grid_points}\n")
-        complex_valued = np.iscomplexobj(basis.samples)
-        for i in range(basis.grid_points):
-            row = basis.samples[:, i]
-            if complex_valued:
-                fh.write(" ".join(repr(complex(v)).strip("()") for v in row) + "\n")
-            else:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        kind = complex if np.iscomplexobj(basis.samples) else float
+        for row in basis.samples.T:
+            fh.write(" ".join(repr(kind(v)).strip("()") for v in row) + "\n")
 
 
 def load_mode_basis(path, tol: float = 1e-8) -> ModeBasis:
     """Read a basis written by :func:`save_mode_basis` (or by hand).
 
-    The first data row is ``domain_min domain_max grid_points``; each later
-    row holds one sample per mode. Entries may be real (``0.5``) or complex
-    (``0.5+0.1j``). Orthonormality is validated within ``tol``.
+    Blank lines and lines starting with ``#`` are skipped. The first row is
+    ``domain_min domain_max grid_points``; each of the ``grid_points`` later
+    rows holds one sample per mode, read by ``np.loadtxt`` as real (``0.5``)
+    or complex (``0.5+0.1j``). Orthonormality is validated within ``tol``.
     """
-    rows = []
-    header = None
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ValidationError(
-                        f"header must be 'domain_min domain_max grid_points', got {line!r}"
-                    )
-                header = (float(parts[0]), float(parts[1]), int(parts[2]))
-                continue
-            try:
-                rows.append([complex(tok) for tok in line.split()])
-            except ValueError as exc:
-                raise ValidationError(f"unparseable basis row {line!r}") from exc
-    if header is None:
+        lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+    if not lines:
         raise ValidationError("basis file has no header row")
-    lo, hi, m = header
-    if len(rows) != m:
+    header, rows = lines[0].split(), lines[1:]
+    if len(header) != 3:
+        raise ValidationError(
+            f"header must be 'domain_min domain_max grid_points', got {lines[0]!r}"
+        )
+    lo, hi, m = float(header[0]), float(header[1]), int(header[2])
+    if m < 1 or len(rows) != m:
         raise ValidationError(f"header promises {m} grid rows, file has {len(rows)}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValidationError("basis rows have inconsistent column counts")
-    samples = np.asarray(rows, dtype=complex).T
+    try:
+        samples = np.loadtxt(rows, dtype=complex, ndmin=2).T
+    except ValueError as exc:
+        raise ValidationError(f"basis rows are unparseable or ragged: {exc}") from exc
     if np.abs(samples.imag).max(initial=0.0) == 0.0:
         samples = samples.real
     basis = ModeBasis(domain=(lo, hi), samples=samples)

@@ -1,47 +1,34 @@
-"""Named configurations for the worked examples the CLI ships with."""
+"""Named configurations for the worked examples the CLI ships with.
+
+A preset states only what differs from a default: the mode count, the OPO
+dephasings and the target. Every other key takes its default where it is read.
+"""
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
 from .cluster import linear_cluster_4
 
-_FLIP4 = {
-    "modes": {"family": "flip", "n": 4, "grid_points": 4096, "domain": [0.0, 1.0], "lo_index": 0},
-    "pixels": {"count": 4},
-}
+_FLIP4 = {"modes": {"n": 4}}
+_GATE_OPO = [0.0, 0.0, -np.pi / 2, np.pi / 2]
 
 #: Preset fragments; ``cli.merge`` lays the user's config over them.
 PRESETS: dict[str, dict] = {
-    "identity": {
-        **copy.deepcopy(_FLIP4),
-        "opo_phases": [0.0, 0.0, 0.0, 0.0],
-        "target": {"identity": True},
-    },
+    "identity": {**_FLIP4, "target": {"identity": True}},
     "lin4": {
-        **copy.deepcopy(_FLIP4),
+        **_FLIP4,
         "opo_phases": [0.0, -np.pi / 2, -np.pi / 2, 0.0],
         "target": {"named": "lin4"},
-        "enumerate": True,
     },
-    "fourier": {
-        **copy.deepcopy(_FLIP4),
-        "opo_phases": [0.0, 0.0, -np.pi / 2, np.pi / 2],
-        "target": {"gate": {"name": "fourier", "theta_3": 0.0}},
-        "enumerate": True,
-    },
+    "fourier": {**_FLIP4, "opo_phases": _GATE_OPO, "target": {"gate": {"name": "fourier"}}},
     "displacement": {
-        **copy.deepcopy(_FLIP4),
-        "opo_phases": [0.0, 0.0, -np.pi / 2, np.pi / 2],
-        "target": {"gate": {"name": "displacement", "s": 0.0, "theta_3": 0.0}},
-        "enumerate": True,
+        **_FLIP4,
+        "opo_phases": _GATE_OPO,
+        "target": {"gate": {"name": "displacement"}},
     },
     "cz2": {
-        "detection": {
-            "matrix": {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
-        },
+        "detection": {"matrix": {"re": [[1.0, 0.0], [0.0, 1.0]]}},
         "target": {"graph": {"adjacency": [[0.0, 1.0], [1.0, 0.0]]}},
     },
 }

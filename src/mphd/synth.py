@@ -99,10 +99,10 @@ def feasibility(u_th, g, tol: float = DEFAULT_TOL) -> FeasibilityReport:
         raise DimensionError("u_th and g must be square")
     if u.shape != gm.shape:
         raise DimensionError(f"shape mismatch: u_th {u.shape} vs g {gm.shape}")
-    if not is_unitary(u, tol):
-        raise ValidationError("u_th is not unitary within tolerance")
     if not is_unitary(gm, tol):
         raise ValidationError("g is not unitary within tolerance")
+    if not is_unitary(u, tol):
+        raise ValidationError("u_th is not unitary within tolerance")
     u_prime = u @ gm.conj().T
     d = u_prime.T @ u_prime
     off = d - np.diag(np.diag(d))

@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +146,27 @@ class TestSynthesize:
         assert code == 0
         assert report["config"]["modes"]["n"] == 2
 
+    def test_preset_front_end_follows_the_mode_count(self, tmp_path):
+        doc = {"preset": "identity", "modes": {"n": 2}}
+        code, report = run_command(tmp_path, "synthesize", doc)
+        assert code == 0
+        assert mat_from_json(report["config"]["g"]).shape == (2, 2)
+        assert report["config"]["pixels"]["boundaries"] == [0.0, 0.5, 1.0]
+        assert report["config"]["opo_phases"] == [0.0, 0.0]
+
+    def test_opo_phases_of_another_length_are_named(self, tmp_path, capsys):
+        doc = {"preset": "lin4", "modes": {"n": 2}, "target": {"identity": True}}
+        code, report = run_command(tmp_path, "synthesize", doc)
+        assert (code, report) == (1, None)
+        assert "opo_phases gives 4 dephasings for 2 modes" in capsys.readouterr().err
+
+    def test_non_unitary_front_end_is_named_g(self, tmp_path, capsys):
+        # six equal pixels over eight flip segments; the identity target is G itself
+        doc = {"preset": "identity", "modes": {"n": 6}}
+        code, report = run_command(tmp_path, "synthesize", doc)
+        assert (code, report) == (1, None)
+        assert "error: g is not unitary" in capsys.readouterr().err
+
     def test_preset_detection_rejects_ignored_keys(self, tmp_path, capsys):
         # cz2 gives detection.matrix, so the user's pixels and opo_phases would go unread
         doc = {"preset": "cz2", "pixels": {"count": 5}, "opo_phases": [1, 2]}
@@ -153,7 +175,10 @@ class TestSynthesize:
         assert "['opo_phases', 'pixels'] would be ignored" in capsys.readouterr().err
 
     def test_preset_detection_matrix_replaced_whole(self, tmp_path):
-        # the user's 3x3 matrix takes none of cz2's 2x2 'im' part
+        # a matrix is a leaf: the user's 3x3 one takes none of a base matrix's 'im' part
+        base = {"detection": {"matrix": {"re": np.eye(2).tolist(), "im": [[0.0] * 2] * 2}}}
+        user = {"detection": {"matrix": {"re": np.eye(3).tolist()}}}
+        assert merge(base, user, ALLOWED_KEYS["synthesize"]) == user
         doc = {
             "preset": "cz2",
             "detection": {"matrix": {"re": np.eye(3).tolist()}},
@@ -519,6 +544,28 @@ class TestUsageErrors:
             ),
             ("cluster", {**EDGE, "pixels": {"count": 2}}, []),
             ("synthesize", {"preset": ["lin4"]}, []),
+            ("synthesize", {"preset": "lin4", "opo_phases": "abc"}, []),
+            ("synthesize", {"preset": "lin4", "modes": {"n": "x"}}, []),
+            ("cluster", {"graph": {"adjacency": [[0, "a"], ["a", 0]]}}, []),
+            ("synthesize", {"preset": "lin4", "modes": 3}, []),
+            ("synthesize", {**IDENTITY_DETECTION, "detection": {"matrix": {"im": [[0.0]]}}}, []),
+            (
+                "synthesize",
+                {**IDENTITY_DETECTION, "detection": {"matrix": {"re": [[1.0]], "im": [[0, 0]]}}},
+                [],
+            ),
+            ("cluster", {"graph": {"n": 3}}, []),
+            ("synthesize", {"detection": IDENTITY_DETECTION["detection"]}, []),
+            ("synthesize", {"preset": "lin4", "target": {"named": "lin5"}}, []),
+            ("synthesize", {**IDENTITY_DETECTION, "target": {}}, []),
+            ("gate", {"preset": "fourier", "target": {"gate": {"name": "cz"}}}, []),
+            ("cluster", {"preset": "lin4"}, []),
+            (
+                "cluster",
+                {"graph": {"edges": [[0, 1], [1, 2], [2, 3]]}, "freedom": {"euler": [0, 0, 0]}},
+                [],
+            ),
+            ("synthesize", ["lin4"], []),
         ],
         ids=[
             "family", "structure", "gate-shots", "cluster-seed", "simulate-tolerances",
@@ -530,7 +577,11 @@ class TestUsageErrors:
             "detection-with-modes", "modes-file-with-n", "preset-modes-file-with-domain",
             "optimizer-seed", "optimizer-tol", "pixels-count-with-boundaries",
             "graph-adjacency-with-edges", "freedom-euler-with-matrix", "cluster-pixels-without-modes",
-            "preset-not-a-name",
+            "preset-not-a-name", "opo-phases-not-numbers", "modes-n-not-a-number",
+            "adjacency-not-numbers", "modes-not-an-object", "matrix-without-re",
+            "re-im-shapes-differ", "graph-without-edges", "no-target", "unknown-named-target",
+            "empty-target", "unknown-gate", "cluster-without-graph", "euler-on-four-vertices",
+            "list-root",
         ],
     )
     def test_exits_1_with_message(self, tmp_path, monkeypatch, capsys, command, doc, flags):
@@ -544,6 +595,12 @@ class TestUsageErrors:
         assert code == 1
         assert report is None
         assert "error" in capsys.readouterr().err
+
+    def test_traceback_logged_at_debug(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="mphd")
+        code, _ = run_command(tmp_path, "synthesize", {"preset": "lin4", "modes": {"n": "x"}})
+        assert code == 1
+        assert [r.exc_info[0] for r in caplog.records if r.exc_info] == [ValueError]
 
     def test_help_exits_0(self, capsys):
         assert run(["simulate", "--help"]) == 0

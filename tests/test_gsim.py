@@ -560,7 +560,7 @@ class TestRunGateProgram:
 
     def test_rejects_plan_of_another_size(self):
         program = fourier_program()
-        short = GateProgram(MeasurementPlan(angles=[0.0] * 3), program.target_gate, program.d_meas, program.u_th)
+        short = GateProgram(MeasurementPlan(angles=[0.0] * 3), program.target_gate, program.u_th)
         with pytest.raises(DimensionError):
             run_gate_program(short, vacuum(1), 1.0)
 

@@ -128,11 +128,6 @@ class TestFourierProgram:
         np.testing.assert_allclose(prog.plan.angles, [np.pi / 2, np.pi / 2, 0.0, 0.0])
         np.testing.assert_allclose(prog.plan.offsets, 0.0)
 
-    def test_measurement_rotations(self):
-        np.testing.assert_allclose(
-            fourier_program().d_meas.diagonal(), [1j, 1j, 1.0, 1.0], atol=1e-15
-        )
-
     def test_unitary_matches_reference(self):
         np.testing.assert_allclose(fourier_program().u_th, rv.GATE_TARGET, atol=1e-14)
 

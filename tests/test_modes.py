@@ -33,6 +33,21 @@ FLIP4_PATTERNS = np.array(
 )
 
 
+def sylvester_walsh_oracle(n_modes):
+    """Sign patterns from Sylvester-Hadamard rows sorted by sign changes, anchored
+    positive at the center (or at the left edge when a pattern flips there)."""
+    nseg = 1 << (n_modes - 1).bit_length()
+    j = np.arange(nseg)
+    parity = np.array([[bin(a & b).count("1") % 2 for b in j] for a in j])
+    h = np.where(parity == 0, 1.0, -1.0)
+    flips = np.count_nonzero(h[:, 1:] != h[:, :-1], axis=1)
+    patterns = h[np.argsort(flips, kind="stable")][:n_modes]
+    mid = nseg // 2
+    for row in patterns:
+        row *= row[mid] if nseg == 1 or row[mid - 1] == row[mid] else row[0]
+    return patterns
+
+
 def segment_overlap_oracle(patterns):
     """Exact inner products of unit-domain step modes from their sign patterns."""
     nseg = patterns.shape[1]
@@ -59,6 +74,14 @@ class TestFlipModeBasis:
             signs = np.sign(basis.samples[n])
             flips = np.count_nonzero(signs[1:] != signs[:-1])
             assert flips == n
+
+    def test_patterns_match_sylvester_oracle(self):
+        for n in range(1, 65):
+            nseg = 1 << (n - 1).bit_length()
+            basis = flip_mode_basis(n, grid_points=64 * nseg)
+            # each segment spans 64 grid cells; read the sign at its first cell
+            patterns = np.sign(basis.samples[:, ::64])
+            np.testing.assert_array_equal(patterns, sylvester_walsh_oracle(n), err_msg=f"n = {n}")
 
     def test_orthonormal_against_segment_oracle(self):
         basis = flip_mode_basis(4)
@@ -198,6 +221,14 @@ class TestDetectionSetup:
         )
         np.testing.assert_allclose(setup.kappa, 2.0, atol=1e-12)
 
+    def test_dephasings_default_to_none_and_match_the_mode_count(self):
+        basis = flip_mode_basis(4)
+        setup = detection_setup(basis, 0, PixelPartition.equal(4))
+        np.testing.assert_array_equal(setup.delta_opo.phases, np.zeros(4))
+        np.testing.assert_array_equal(setup.g, setup.u_t)
+        with pytest.raises(DimensionError, match="2 dephasings given for 4 modes"):
+            detection_setup(basis, 0, PixelPartition.equal(4), [0.0, 0.0])
+
 
 class TestBasisFile:
     def test_round_trip(self, tmp_path):
@@ -236,3 +267,19 @@ class TestBasisFile:
         path.write_text("0.0 1.0 3\n1.0\n1.0\n")
         with pytest.raises(ValidationError):
             load_mode_basis(path)
+
+    @pytest.mark.parametrize(
+        "rows", ["1.0 x\n1.0 -1.0\n", "1.0 1.0\n1.0\n"], ids=["unparseable", "ragged"]
+    )
+    def test_rejects_bad_rows(self, tmp_path, rows):
+        path = tmp_path / "bad.txt"
+        path.write_text("# comment\n0.0 1.0 2\n" + rows)
+        with pytest.raises(ValidationError, match="unparseable or ragged"):
+            load_mode_basis(path)
+
+    def test_reads_comments_blank_lines_and_complex_entries(self, tmp_path):
+        path = tmp_path / "basis.txt"
+        path.write_text("# two modes\n\n0.0 1.0 2\n1.0 0.0+1j\n# middle\n1.0 -0.0-1j\n")
+        basis = load_mode_basis(path)
+        np.testing.assert_array_equal(basis.samples, [[1.0, 1.0], [1j, -1j]])
+        assert basis.domain == (0.0, 1.0)

@@ -77,6 +77,12 @@ class TestFeasibility:
         with pytest.raises(ValidationError, match="g"):
             feasibility(np.eye(4), bad)
 
+    def test_g_checked_before_u_th(self):
+        # the identity target is G itself, so a non-unitary G must be named as g
+        bad = np.eye(4) * 1.5
+        with pytest.raises(ValidationError, match="^g is not unitary"):
+            feasibility(bad, bad)
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             feasibility(np.eye(3), np.eye(4))
@@ -148,6 +154,11 @@ class TestEnumerateSolutions:
             (float(s.delta_lo.diagonal()[0].real), float(s.gains[0, 0])) for s in sols
         )
         np.testing.assert_allclose(pairs, [(-1.0, -1.0), (1.0, 1.0)], atol=1e-12)
+
+    def test_infeasible_report_refused(self):
+        report = feasibility(CZ2_TARGET, CZ2_G)
+        with pytest.raises(FeasibilityError):
+            enumerate_solutions(report, CZ2_G, CZ2_TARGET)
 
     def test_capacity_guard(self):
         g = np.eye(17, dtype=complex)
