@@ -6,15 +6,21 @@ A ``preset`` is merged under the user's config by :func:`merge`: user keys
 win, a block listed in ``_CHOICES`` takes one of its alternatives (the one
 the user picks displaces the preset's other ones, and two alternatives from
 the user are a usage error), and the preset's keys the command does not read
-are dropped. ``optimizer`` takes only ``max_iters`` and ``restarts``; its
-seed is ``seed`` and its tolerance ``tolerances.feasibility``.
+are dropped. Integer leaves (``_INT_KEYS``) must be JSON integers and path
+leaves (``_PATH_KEYS``) strings. ``optimizer`` takes only ``max_iters`` and
+``restarts``, each at least 1; its seed is ``seed`` and its tolerance
+``tolerances.feasibility``.
 The schema also gives each command its flags: ``--seed``, ``--branch`` and
 ``--tol`` exist only where the command reads ``seed``, ``branch`` and
 ``tolerances`` (``synthesize`` and ``gate`` take all three, ``cluster`` only
 ``--tol``, ``simulate`` ``--seed`` and ``--branch``), and a given flag
-overrides its config value. Reports are JSON with every matrix carried at
-full precision next to a 2-decimal display block; ``simulate`` writes a CSV
-of its samples only when the config names a ``csv_path``. Exit codes:
+overrides its config value. ``gate`` is ``synthesize`` on a gate target,
+whose report carries the compiled ``program``, plus one run of that program
+on the synthesized detector when ``r`` is given. Reports are JSON with every
+matrix carried at full precision next to a 2-decimal display block, and
+``_write_report`` stamps each with ``schema_version``, ``command`` and
+``timing``. ``simulate`` writes a CSV of its samples only when the config
+names a ``csv_path``. Exit codes:
 0 success, 2 infeasible target in ``synthesize`` or ``gate`` (with the best
 approximate result still reported), 1 usage or validation error; ``cluster``
 and ``simulate`` never exit 2.
@@ -80,6 +86,10 @@ _CHOICES = {
     "target": tuple({form} for form in sorted(_TARGET_FORMS)),
 }
 
+#: Leaves that must be JSON integers, and leaves that must be file paths, in any block.
+_INT_KEYS = {"n", "grid_points", "lo_index", "count", "seed", "shots", "max_iters", "restarts"}
+_PATH_KEYS = {"file", "solution_report", "csv_path"}
+
 #: Flags by the schema key they override: (flag, type, nested key or None, help).
 _FLAGS = {
     "seed": ("--seed", int, None, "override the config seed"),
@@ -95,7 +105,8 @@ def merge(base: dict, user: dict, allowed: set, block: str | None = None) -> dic
     ``_CHOICES`` entry; the alternative the user picks displaces the base's
     other ones, and base keys outside ``allowed`` are dropped. Blocks named in
     ``_NESTED_KEYS`` merge recursively; any other user value replaces the
-    base's whole.
+    base's whole, and must be an integer under a ``_INT_KEYS`` name and a
+    string under a ``_PATH_KEYS`` one.
     """
     where = f"config.{block}" if block else "config"
     if not isinstance(user, dict):
@@ -112,9 +123,14 @@ def merge(base: dict, user: dict, allowed: set, block: str | None = None) -> dic
     keep = allowed - (set().union(*alternatives) - picked[0] if picked else set())
     out = {key: copy.deepcopy(value) for key, value in base.items() if key in keep}
     for key, value in user.items():
+        name = f"{block}.{key}" if block else key
         if key in _NESTED_KEYS:
             sub = out.get(key) if isinstance(out.get(key), dict) else {}
-            value = merge(sub, value, _NESTED_KEYS[key], f"{block}.{key}" if block else key)
+            value = merge(sub, value, _NESTED_KEYS[key], name)
+        elif key in _INT_KEYS and type(value) is not int:
+            raise ConfigError(f"config.{name} must be an integer, got {value!r}")
+        elif key in _PATH_KEYS and not isinstance(value, str):
+            raise ConfigError(f"config.{name} must be a file path, got {value!r}")
         out[key] = value
     return out
 
@@ -179,13 +195,7 @@ def _resolve_detection(config):
         g = as_complex_matrix(
             mat_from_json(config["detection"]["matrix"], "detection.matrix"), "detection.matrix"
         )
-        setup = modes.DetectionSetup(
-            u_t=g,
-            delta_opo=DiagonalUnitary.identity(g.shape[1]),
-            g=g,
-            lo_index=0,
-            kappa=np.ones(g.shape[0]),
-        )
+        setup = modes.DetectionSetup(u_t=g, delta_opo=DiagonalUnitary.identity(g.shape[1]), g=g)
         return setup, {"detection": _matrix_echo(g)}
     if "modes" not in config:
         unread = sorted({"pixels", "opo_phases"} & set(config))
@@ -201,17 +211,16 @@ def _resolve_detection(config):
         basis = modes.load_mode_basis(mode_cfg["file"])
     else:
         basis = modes.flip_mode_basis(
-            int(mode_cfg.get("n", 4)),
-            int(mode_cfg.get("grid_points", modes.DEFAULT_GRID_POINTS)),
+            mode_cfg.get("n", 4),
+            mode_cfg.get("grid_points", modes.DEFAULT_GRID_POINTS),
             tuple(mode_cfg.get("domain", modes.DEFAULT_DOMAIN)),
         )
-    lo_index = int(mode_cfg.get("lo_index", 0))
+    lo_index = mode_cfg.get("lo_index", 0)
     pixel_cfg = config.get("pixels", {})
     if "boundaries" in pixel_cfg:
         partition = modes.PixelPartition(pixel_cfg["boundaries"])
     else:
-        count = int(pixel_cfg.get("count", basis.n_modes))
-        partition = modes.PixelPartition.equal(count, basis.domain)
+        partition = modes.PixelPartition.equal(pixel_cfg.get("count", basis.n_modes), basis.domain)
     opo = config.get("opo_phases")
     if opo is not None and np.size(opo) != basis.n_modes:
         raise ConfigError(f"opo_phases gives {np.size(opo)} dephasings for {basis.n_modes} modes")
@@ -239,7 +248,7 @@ def _graph_adjacency(doc) -> np.ndarray:
         return cluster_mod.validate_adjacency(np.asarray(doc["adjacency"], dtype=float))
     if "edges" in doc:
         edges, n = doc["edges"], doc.get("n", 0)
-        if not isinstance(edges, list) or type(n) is not int or n < 0:
+        if not isinstance(edges, list) or n < 0:
             raise ConfigError("graph.edges must be a list and graph.n a non-negative integer")
         for edge in edges:
             if not (
@@ -260,48 +269,49 @@ def _graph_adjacency(doc) -> np.ndarray:
 
 
 def _resolve_target(config, g):
-    """Materialize the target unitary from the config's target block."""
+    """Materialize the target block: ``(u_th, echo, program)``.
+
+    ``program`` is the compiled :class:`~mphd.mbqc.GateProgram` of a gate
+    target and ``None`` for every other form.
+    """
     tdoc = config.get("target")
     if tdoc is None:
         raise ConfigError("config is missing the 'target' block")
     if tdoc.get("identity"):
-        return np.asarray(g, dtype=complex).copy(), {"identity": True}
+        return np.asarray(g, dtype=complex).copy(), {"identity": True}, None
     if "named" in tdoc:
         name = tdoc["named"]
         if name not in NAMED_TARGETS:
             raise ConfigError(f"unknown named target {name!r}")
         u = NAMED_TARGETS[name]()
-        return u, {"named": name, **_matrix_echo(u)}
+        return u, {"named": name, **_matrix_echo(u)}, None
     if "matrix" in tdoc:
         u = mat_from_json(tdoc["matrix"], "target.matrix")
-        return u, _matrix_echo(u)
+        return u, _matrix_echo(u), None
     if "graph" in tdoc:
         v = _graph_adjacency(tdoc["graph"])
         u = cluster_mod.cluster_unitary(v).u
-        return u, {"graph": {"adjacency": v.tolist()}, **_matrix_echo(u)}
-    if "gate" in tdoc:
-        program = _resolve_program(tdoc["gate"])
-        return program.u_th, {
-            "gate": {
-                "name": program.name,
-                "angles": program.plan.angles.tolist(),
-                "offsets": program.plan.offsets.tolist(),
-            },
-            **_matrix_echo(program.u_th),
-        }
-    raise ConfigError(f"target needs one of: {', '.join(sorted(_TARGET_FORMS))}")
-
-
-def _resolve_program(gate_doc) -> mbqc.GateProgram:
-    if isinstance(gate_doc, mbqc.GateProgram):
-        return gate_doc
-    name = gate_doc.get("name")
-    theta_3 = float(gate_doc.get("theta_3", 0.0))
+        return u, {"graph": {"adjacency": v.tolist()}, **_matrix_echo(u)}, None
+    if "gate" not in tdoc:
+        raise ConfigError(f"target needs one of: {', '.join(sorted(_TARGET_FORMS))}")
+    name, theta_3 = tdoc["gate"].get("name"), float(tdoc["gate"].get("theta_3", 0.0))
     if name == "fourier":
-        return mbqc.fourier_program(theta_3)
-    if name == "displacement":
-        return mbqc.displacement_program(float(gate_doc.get("s", 0.0)), theta_3)
-    raise ConfigError(f"unknown gate name {name!r}; available: fourier, displacement")
+        program = mbqc.fourier_program(theta_3)
+    elif name == "displacement":
+        program = mbqc.displacement_program(float(tdoc["gate"].get("s", 0.0)), theta_3)
+    else:
+        raise ConfigError(f"unknown gate name {name!r}; available: fourier, displacement")
+    plan = _plan_to_json(program.plan)
+    echo = {"name": name, "angles": plan["angles"], "offsets": plan["offsets"]}
+    return program.u_th, {"gate": echo, **_matrix_echo(program.u_th)}, program
+
+
+def _plan_to_json(plan: mbqc.MeasurementPlan) -> dict:
+    return {
+        "angles": plan.angles.tolist(),
+        "offsets": plan.offsets.tolist(),
+        "gains": plan.gains.tolist(),
+    }
 
 
 def _solution_to_json(sol: synth.SynthesisSolution) -> dict:
@@ -357,15 +367,17 @@ def _parse_branch(text, n) -> tuple:
 # commands
 
 def cmd_synthesize(config: dict) -> tuple[dict, int]:
+    """Compile the target onto the detector; a gate target also reports its program.
+
+    With ``r`` (read by ``gate`` only), the gate program runs on the detector
+    of the lead solution, ``O . Delta_LO . G``, and the report gains its
+    ``verification`` block.
+    """
     tol = _resolve_tolerance(config)
     setup, det_echo = _resolve_detection(config)
     g = setup.g
-    u_th, target_echo = _resolve_target(config, g)
-    report: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "synthesize",
-        "config": {**det_echo, "target": target_echo, "tolerance": tol},
-    }
+    u_th, target_echo, program = _resolve_target(config, g)
+    report: dict = {"config": {**det_echo, "target": target_echo, "tolerance": tol}}
     fre = synth.feasibility(u_th, g, tol)
     report["feasibility"] = feasibility_to_json(fre)
     if fre.feasible:
@@ -377,23 +389,48 @@ def cmd_synthesize(config: dict) -> tuple[dict, int]:
         else:
             sols = [synth.solve_exact(fre, g, u_th)]
         report["solutions"] = [_solution_to_json(s) for s in sols]
-        return report, 0
-    result = synth.solve_approx(
-        u_th,
-        g,
-        seed=int(config.get("seed", 0)),
-        tol=tol,
-        **{key: int(value) for key, value in config.get("optimizer", {}).items()},
-    )
-    report["approx"] = {
-        "residual": result.solution.residual,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "objective_trace": result.objective_trace,
-        "solution": _solution_to_json(result.solution),
-    }
-    report["solutions"] = []
-    return report, 2
+        lead, code = sols[0], 0
+    else:
+        result = synth.solve_approx(
+            u_th, g, seed=config.get("seed", 0), tol=tol, **config.get("optimizer", {})
+        )
+        report["approx"] = {
+            "residual": result.solution.residual,
+            "iterations": result.iterations,
+            "converged": result.converged,
+            "objective_trace": result.objective_trace,
+            "solution": _solution_to_json(result.solution),
+        }
+        report["solutions"] = []
+        lead, code = result.solution, 2
+    if program is not None:
+        report["program"] = {
+            "name": program.name,
+            **_plan_to_json(program.plan),
+            "target_gate": program.target_gate.tolist(),
+        }
+    if config.get("r") is not None:
+        u_detector = _mphd_unitary(lead.gains, lead.delta_lo.phases, g)
+        r, r_in = float(config["r"]), float(config.get("input_squeezing", 1.0))
+        output, verification = gsim.run_gate_program(
+            dataclasses.replace(program, u_th=u_detector),
+            gsim.squeezed_input(1, r_in, ["q"]),
+            r,
+            seed=config.get("seed", 0),
+        )
+        report["verification"] = {
+            "r": r,
+            "input_squeezing": r_in,
+            "cov_distance": verification.cov_distance,
+            "mean_distance": verification.mean_distance,
+            "offset_displacement": verification.offset_displacement.tolist(),
+            "input_transfer": verification.input_transfer.tolist(),
+            "outcomes": verification.outcomes.tolist(),
+            "passed": verification.passed,
+            "output_mean": output.mean.tolist(),
+            "output_cov": output.cov.tolist(),
+        }
+    return report, code
 
 
 def cmd_cluster(config: dict) -> tuple[dict, int]:
@@ -409,11 +446,7 @@ def cmd_cluster(config: dict) -> tuple[dict, int]:
             freedom = cluster_mod.euler_orthogonal(*map(float, fdoc["euler"]))
         else:
             freedom = np.asarray(fdoc["matrix"], dtype=float)
-    report: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "cluster",
-        "config": {"graph": {"adjacency": v.tolist()}},
-    }
+    report: dict = {"config": {"graph": {"adjacency": v.tolist()}}}
     solution = cluster_mod.cluster_unitary(v, freedom)
     validation = cluster_mod.validate_cluster(solution.u, v)
     report.update(
@@ -439,53 +472,14 @@ def cmd_cluster(config: dict) -> tuple[dict, int]:
 
 
 def cmd_gate(config: dict) -> tuple[dict, int]:
-    tdoc = config.get("target", {})
-    if "gate" not in tdoc:
+    if "gate" not in config.get("target", {}):
         raise ConfigError("gate command needs target.gate (fourier | displacement)")
-    program = _resolve_program(tdoc["gate"])
-    # synthesize against the program built here instead of building it again
-    report, code = cmd_synthesize({**config, "target": {**tdoc, "gate": program}})
-    report["command"] = "gate"
-    report["program"] = {
-        "name": program.name,
-        "angles": program.plan.angles.tolist(),
-        "offsets": program.plan.offsets.tolist(),
-        "gains": program.plan.gains.tolist(),
-        "target_gate": np.asarray(program.target_gate).tolist(),
-    }
-    if config.get("r") is not None:
-        # run the detector that was synthesized: O . Delta_LO . G of the leading solution
-        echo = report["config"]
-        g = mat_from_json(echo["g"] if "g" in echo else echo["detection"]["matrix"])
-        lead = (report["solutions"] or [report["approx"]["solution"]])[0]
-        u_detector = _mphd_unitary(np.asarray(lead["gains"]), np.asarray(lead["phases"]), g)
-        detector = dataclasses.replace(program, u_th=u_detector)
-        r = float(config["r"])
-        r_in = float(config.get("input_squeezing", 1.0))
-        input_state = gsim.squeezed_input(1, r_in, ["q"])
-        output, verification = gsim.run_gate_program(
-            detector, input_state, r, seed=int(config.get("seed", 0))
-        )
-        report["verification"] = {
-            "r": r,
-            "input_squeezing": r_in,
-            "cov_distance": verification.cov_distance,
-            "mean_distance": verification.mean_distance,
-            "offset_displacement": verification.offset_displacement.tolist(),
-            "input_transfer": verification.input_transfer.tolist(),
-            "outcomes": verification.outcomes.tolist(),
-            "passed": verification.passed,
-            "output_mean": output.mean.tolist(),
-            "output_cov": output.cov.tolist(),
-        }
-    return report, code
+    return cmd_synthesize(config)
 
 
 def cmd_simulate(config: dict) -> tuple[dict, int]:
     setup, det_echo = _resolve_detection(config)
     csv_path = config.get("csv_path")
-    if csv_path is not None and not isinstance(csv_path, str):
-        raise ConfigError("csv_path must be a file path")
     sol = _solution_from_config(config, setup.g)
     n = setup.g.shape[0]
     pdoc = config.get("plan", {})
@@ -495,21 +489,15 @@ def cmd_simulate(config: dict) -> tuple[dict, int]:
         gains=pdoc.get("gains"),
     )
     r = float(config.get("r", 1.0))
-    shots = int(config.get("shots", 1000))
-    seed = int(config.get("seed", 0))
+    shots = config.get("shots", 1000)
+    seed = config.get("seed", 0)
     result = gsim.simulate_mphd(setup, sol, plan, r, shots, seed)
     if csv_path is not None:
         gsim.export_samples_csv(result, csv_path)
     report: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
         "config": {
             **det_echo,
-            "plan": {
-                "angles": plan.angles.tolist(),
-                "offsets": plan.offsets.tolist(),
-                "gains": plan.gains.tolist(),
-            },
+            "plan": _plan_to_json(plan),
             "r": r,
             "shots": shots,
             "seed": seed,
@@ -523,7 +511,7 @@ def cmd_simulate(config: dict) -> tuple[dict, int]:
         "staged_vs_direct_residual": result.staged_vs_direct_residual,
     }
     if "target" in config:
-        u_th, target_echo = _resolve_target(config, setup.g)
+        u_th, target_echo, _ = _resolve_target(config, setup.g)
         report["config"]["target"] = target_echo
         report["solution"]["residual"] = synth.verify_solution(sol, u_th, setup.g)
     return report, 0
@@ -537,8 +525,8 @@ COMMANDS = {
 }
 
 
-def _write_report(report: dict, out_path, elapsed: float) -> None:
-    report["timing"] = {"seconds": elapsed}
+def _write_report(report: dict, command: str, out_path, elapsed: float) -> None:
+    report.update(schema_version=SCHEMA_VERSION, command=command, timing={"seconds": elapsed})
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path is None or out_path == "-":
         sys.stdout.write(text + "\n")
@@ -590,7 +578,7 @@ def run(argv=None) -> int:
         log.debug("%s failed", args.command, exc_info=True)
         sys.stderr.write(f"mphd {args.command}: error: {exc}\n")
         return 1
-    _write_report(report, args.out, time.perf_counter() - started)
+    _write_report(report, args.command, args.out, time.perf_counter() - started)
     return code
 
 

@@ -234,8 +234,6 @@ class DetectionSetup:
     u_t: np.ndarray
     delta_opo: DiagonalUnitary
     g: np.ndarray
-    lo_index: int
-    kappa: np.ndarray
 
 
 def detection_setup(
@@ -248,18 +246,12 @@ def detection_setup(
 
     ``opo_phases`` defaults to no dephasing (all zero), one per mode.
     """
-    pixel, kappa = pixel_modes(basis, lo_index, partition)
+    pixel, _ = pixel_modes(basis, lo_index, partition)
     u_t = basis.cell_width * (np.conj(pixel) @ basis.samples.T)
     delta_opo = DiagonalUnitary(np.zeros(basis.n_modes) if opo_phases is None else opo_phases)
     if delta_opo.dim != basis.n_modes:
         raise DimensionError(f"{delta_opo.dim} dephasings given for {basis.n_modes} modes")
-    return DetectionSetup(
-        u_t=u_t,
-        delta_opo=delta_opo,
-        g=build_g(u_t, delta_opo),
-        lo_index=lo_index,
-        kappa=kappa,
-    )
+    return DetectionSetup(u_t=u_t, delta_opo=delta_opo, g=build_g(u_t, delta_opo))
 
 
 def save_mode_basis(basis: ModeBasis, path) -> None:

@@ -243,7 +243,7 @@ def solve_approx(
     Restarts draw independent random phase vectors from a generator seeded
     with ``seed``; the best run is returned with its monotone objective
     trace. ``converged`` is False when that run was still improving at
-    ``max_iters``.
+    ``max_iters``; ``restarts`` and ``max_iters`` must be at least 1.
     """
     u = as_complex_matrix(u_th, "u_th")
     gm = as_complex_matrix(g, "g")
@@ -251,6 +251,8 @@ def solve_approx(
         raise DimensionError("u_th and g must be square matrices of equal size")
     if not is_unitary(u, max(tol, 1e-8)) or not is_unitary(gm, max(tol, 1e-8)):
         raise ValidationError("approximate synthesis expects unitary u_th and g")
+    if restarts < 1 or max_iters < 1:
+        raise ValidationError(f"need restarts >= 1 and max_iters >= 1, got {restarts}, {max_iters}")
     n = u.shape[0]
     u_prime = u @ gm.conj().T
 
@@ -259,11 +261,11 @@ def solve_approx(
 
     rng = np.random.default_rng(seed)
     best: tuple | None = None
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         phases = rng.uniform(0.0, 2.0 * np.pi, n)
         f_val = gained = np.inf
         trace: list[float] = []
-        for _ in range(max(1, max_iters)):
+        for _ in range(max_iters):
             f_prev, start = f_val, phases
             # closed-form gain step
             candidate = best_gains(phases)

@@ -131,13 +131,7 @@ def test_criterion_05_gate_calculus():
 
 
 def test_criterion_06_staged_vs_direct():
-    setup = DetectionSetup(
-        u_t=rv.G_LIN4,
-        delta_opo=DiagonalUnitary.identity(4),
-        g=rv.G_LIN4,
-        lo_index=0,
-        kappa=np.ones(4),
-    )
+    setup = DetectionSetup(u_t=rv.G_LIN4, delta_opo=DiagonalUnitary.identity(4), g=rv.G_LIN4)
     plan = MeasurementPlan(angles=[0.0] * 4)
     fre = feasibility(rv.CLUSTER_4, rv.G_LIN4)
     worst = 0.0

@@ -323,6 +323,7 @@ class TestCluster:
             {"edges": []},
             {"edges": [[0, 3]], "n": 2},
             {"edges": [[0, 1]], "n": "two"},
+            {"edges": [[0, 1]], "n": -1},
         ],
     )
     def test_bad_edge_list_is_config_error(self, tmp_path, graph):
@@ -382,6 +383,20 @@ class TestGate:
         assert code == 0
         assert report["verification"]["passed"] is True
         assert len(calls) == 1
+
+    def test_synthesize_on_a_gate_target_reports_the_gate_program(self, tmp_path):
+        doc = {"preset": "displacement", "target": {"gate": {"s": 1.5}}}
+        code, synthesized = run_command(tmp_path, "synthesize", doc, out="s.json")
+        assert code == 0
+        _, gated = run_command(tmp_path, "gate", doc, out="g.json")
+        assert synthesized["program"] == gated["program"]
+        assert synthesized["program"]["offsets"] == [0.0, 0.0, 1.5, 0.0]
+        assert "verification" not in synthesized
+        assert (synthesized["command"], gated["command"]) == ("synthesize", "gate")
+        for report in (synthesized, gated):
+            for key in ("command", "timing", "program", "verification"):
+                report.pop(key, None)
+        assert synthesized == gated
 
     def test_gate_requires_gate_target(self, tmp_path):
         code, _ = run_command(tmp_path, "gate", {"preset": "lin4"})
@@ -566,6 +581,14 @@ class TestUsageErrors:
                 [],
             ),
             ("synthesize", ["lin4"], []),
+            ("synthesize", {"preset": "lin4", "modes": {"n": 2.7}}, []),
+            ("synthesize", {"preset": "lin4", "pixels": {"count": 2.9}}, []),
+            ("synthesize", {"preset": "lin4", "modes": {"n": True}}, []),
+            ("simulate", {**IDENTITY_SIMULATION, "shots": 2.9}, []),
+            ("synthesize", {"preset": "cz2", "seed": 1.5}, []),
+            ("synthesize", {"preset": "lin4", "modes": {"file": 0}}, []),
+            ("simulate", {"preset": "identity", "solution_report": 0, "shots": 2}, []),
+            ("synthesize", {"preset": "cz2", "optimizer": {"restarts": 0, "max_iters": -3}}, []),
         ],
         ids=[
             "family", "structure", "gate-shots", "cluster-seed", "simulate-tolerances",
@@ -581,7 +604,9 @@ class TestUsageErrors:
             "adjacency-not-numbers", "modes-not-an-object", "matrix-without-re",
             "re-im-shapes-differ", "graph-without-edges", "no-target", "unknown-named-target",
             "empty-target", "unknown-gate", "cluster-without-graph", "euler-on-four-vertices",
-            "list-root",
+            "list-root", "modes-n-fraction", "pixels-count-fraction", "modes-n-bool",
+            "shots-fraction", "seed-fraction", "modes-file-number", "solution-report-number",
+            "optimizer-counts-below-1",
         ],
     )
     def test_exits_1_with_message(self, tmp_path, monkeypatch, capsys, command, doc, flags):
@@ -596,9 +621,24 @@ class TestUsageErrors:
         assert report is None
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("synthesize", {"preset": "lin4", "modes": {"n": 2.7}}, "config.modes.n must be an integer"),
+            ("synthesize", {"preset": "cz2", "optimizer": {"restarts": 1.0}}, "config.optimizer.restarts must be"),
+            ("synthesize", {"preset": "cz2", "target": {"graph": {"edges": [], "n": True}}}, "config.target.graph.n"),
+            ("simulate", {**IDENTITY_SIMULATION, "csv_path": ["s.csv"]}, "config.csv_path must be a file path"),
+        ],
+    )
+    def test_typed_leaves_name_their_dotted_key(self, tmp_path, capsys, command, doc, message):
+        code, report = run_command(tmp_path, command, doc)
+        assert (code, report) == (1, None)
+        assert message in capsys.readouterr().err
+
     def test_traceback_logged_at_debug(self, tmp_path, caplog):
         caplog.set_level(logging.DEBUG, logger="mphd")
-        code, _ = run_command(tmp_path, "synthesize", {"preset": "lin4", "modes": {"n": "x"}})
+        doc = {"preset": "lin4", "opo_phases": ["a", "b", "c", "d"]}
+        code, _ = run_command(tmp_path, "synthesize", doc)
         assert code == 1
         assert [r.exc_info[0] for r in caplog.records if r.exc_info] == [ValueError]
 

@@ -95,6 +95,15 @@ class TestSolveA:
         with pytest.raises(DimensionError):
             solve_a(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_adjacency_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve_a(np.array([[0.0, bad], [bad, 0.0]]))
+
+    def test_path_needs_a_vertex(self):
+        with pytest.raises(ValidationError, match="at least one vertex"):
+            path_adjacency(0)
+
     def test_empty_graph_rejected(self):
         with pytest.raises(DimensionError):
             solve_a(np.zeros((0, 0)))
@@ -131,6 +140,10 @@ class TestSymmetricX:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             symmetric_x(np.array([[1.0, 0.2], [0.0, 1.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionError, match="square"):
+            symmetric_x(np.ones((2, 3)))
 
 
 class TestClusterUnitary:

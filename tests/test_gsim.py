@@ -32,9 +32,7 @@ from mphd.synth import SynthesisSolution
 
 def make_setup(g):
     n = g.shape[0]
-    return DetectionSetup(
-        u_t=g, delta_opo=DiagonalUnitary.identity(n), g=g, lo_index=0, kappa=np.ones(n)
-    )
+    return DetectionSetup(u_t=g, delta_opo=DiagonalUnitary.identity(n), g=g)
 
 
 def fourier_pipeline(n):
@@ -132,6 +130,20 @@ class TestStates:
     def test_uncertainty_relation(self):
         state = squeezed_input(3, 1.5)
         assert state.uncertainty_residual() >= -1e-9
+
+    @pytest.mark.parametrize(
+        "n, r, axes, error, message",
+        [
+            (2, 1.0, ["q"], DimensionError, "1 squeeze axes given for 2 modes"),
+            (1, 1.0, ["x"], ValidationError, "squeeze axis must be 'q' or 'p'"),
+            (1, 800.0, None, ValidationError, "non-finite"),
+        ],
+        ids=["axis-count", "bad-axis", "non-finite-factor"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_squeezed_input_rejects(self, n, r, axes, error, message):
+        with pytest.raises(error, match=message):
+            squeezed_input(n, r, axes)
 
 
 class TestApply:
@@ -286,6 +298,24 @@ class TestNullifierVariances:
 
 
 class TestSimulateMphd:
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            ({"shots": 0}, ValidationError, "at least one shot"),
+            ({"r": -0.5}, ValidationError, "squeezing parameter must be >= 0"),
+            ({"setup": make_setup(np.eye(2, dtype=complex))}, DimensionError, "dimensions do not match"),
+            ({"plan": MeasurementPlan(angles=[0.0] * 3)}, DimensionError, "plan covers 3 modes"),
+            ({"r": 400.0}, ValidationError, "covariance is not finite at r = 400"),
+        ],
+        ids=["no-shots", "negative-r", "setup-of-another-size", "plan-of-another-size", "r-400"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_rejects_inputs_outside_its_envelope(self, change, error, message):
+        setup, sol, plan = fourier_pipeline(4)
+        args = {"setup": setup, "sol": sol, "plan": plan, "r": 1.0, "shots": 2, **change}
+        with pytest.raises(error, match=message):
+            simulate_mphd(**args)
+
     def test_composed_pipeline_stays_symplectic(self):
         # each stage map is validated on construction; their product must
         # also preserve the symplectic form
@@ -558,6 +588,10 @@ class TestRunGateProgram:
         with pytest.raises(DimensionError):
             run_gate_program(fourier_program(), vacuum(2), 1.0)
 
+    def test_rejects_negative_squeezing(self):
+        with pytest.raises(ValidationError, match="cluster squeezing must be >= 0"):
+            run_gate_program(fourier_program(), vacuum(1), -1.0)
+
     def test_rejects_plan_of_another_size(self):
         program = fourier_program()
         short = GateProgram(MeasurementPlan(angles=[0.0] * 3), program.target_gate, program.u_th)
@@ -579,6 +613,17 @@ class TestStateValidation:
     def test_non_psd_cov_rejected(self):
         with pytest.raises(ValidationError, match="positive semidefinite"):
             GaussianState(mean=np.zeros(4), cov=np.diag([1.0, 1.0, -1.0, 1.0]))
+
+    def test_cov_of_another_size_rejected(self):
+        with pytest.raises(DimensionError, match="does not match mean length 2"):
+            GaussianState(mean=[0.0, 0.0], cov=np.eye(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            GaussianState(mean=[0.0, bad], cov=np.eye(2))
+        with pytest.raises(ValidationError, match="non-finite"):
+            GaussianState(mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, bad]])
 
     def test_odd_mean_rejected(self):
         with pytest.raises(DimensionError):

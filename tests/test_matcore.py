@@ -11,7 +11,18 @@ from mphd import (
     wrap_angle,
 )
 from mphd.errors import DimensionError, ValidationError
-from mphd.matcore import _diagonal_rows
+from mphd.matcore import _diagonal_rows, as_complex_matrix
+
+
+class TestAsComplexMatrix:
+    def test_rejects_other_ranks(self):
+        with pytest.raises(DimensionError, match="m must be 2-D, got ndim=3"):
+            as_complex_matrix(np.zeros((2, 2, 2)), "m")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValidationError, match="m contains non-finite entries"):
+            as_complex_matrix([[1.0, bad]], "m")
 
 
 class TestIsUnitary:
@@ -119,6 +130,10 @@ class TestProcrustes:
         with pytest.raises(DimensionError):
             procrustes_best_orthogonal(np.ones((2, 3)))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            procrustes_best_orthogonal(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
 
 class TestDiagonalUnitary:
     def test_unit_modulus_by_construction(self):
@@ -131,6 +146,10 @@ class TestDiagonalUnitary:
             DiagonalUnitary([0.0, bad])
         with pytest.raises(ValidationError, match="phases contain non-finite values"):
             _diagonal_rows(np.array([[0.0, 0.0], [0.0, bad]]))
+
+    def test_phases_must_be_a_vector(self):
+        with pytest.raises(DimensionError, match="1-D"):
+            DiagonalUnitary(np.zeros((2, 2)))
 
     def test_rows_of_a_phase_block(self):
         block = np.array([[0.1, 2.0], [-40.0, 0.0], [3.0, 1e-300]])

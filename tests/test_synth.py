@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -87,6 +88,10 @@ class TestFeasibility:
         with pytest.raises(DimensionError):
             feasibility(np.eye(3), np.eye(4))
 
+    def test_non_square(self):
+        with pytest.raises(DimensionError, match="must be square"):
+            feasibility(np.ones((2, 3)), np.ones((2, 3)))
+
 
 class TestSolveExact:
     def test_principal_branch_of_trivial_problem(self):
@@ -113,6 +118,14 @@ class TestSolveExact:
         report = feasibility(CZ2_TARGET, CZ2_G)
         with pytest.raises(FeasibilityError):
             solve_exact(report, CZ2_G, CZ2_TARGET)
+
+    def test_forged_feasible_report_is_an_internal_error(self):
+        # U^T U is not diagonal, so no real O exists; the forged flag lets the check catch it
+        c, s = np.cos(0.3), np.sin(0.3)
+        u = np.array([[c, 1j * s], [1j * s, c]])
+        report = dataclasses.replace(feasibility(u, CZ2_G), feasible=True)
+        with pytest.raises(InternalConsistencyError, match="not real orthogonal"):
+            solve_exact(report, CZ2_G, u)
 
     def test_branch_length_checked(self):
         report = feasibility(rv.G_LIN4, rv.G_LIN4)
@@ -381,6 +394,17 @@ class TestSolveApprox:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             solve_approx(np.eye(2) * 2.0, CZ2_G)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionError, match="square"):
+            solve_approx(np.ones((2, 3)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "counts", [{"restarts": 0}, {"max_iters": 0}, {"restarts": 0, "max_iters": -3}]
+    )
+    def test_counts_below_one_rejected(self, counts):
+        with pytest.raises(ValidationError, match="restarts >= 1 and max_iters >= 1"):
+            solve_approx(CZ2_TARGET, CZ2_G, **counts)
 
     @staticmethod
     def assert_fixed_point(result, u, g):
