@@ -474,6 +474,8 @@ def cmd_cluster(config: dict) -> tuple[dict, int]:
 def cmd_gate(config: dict) -> tuple[dict, int]:
     if "gate" not in config.get("target", {}):
         raise ConfigError("gate command needs target.gate (fourier | displacement)")
+    if config.get("r") is None and "input_squeezing" in config:
+        raise ConfigError("config.input_squeezing is read only with 'r'")
     return cmd_synthesize(config)
 
 

@@ -34,6 +34,9 @@ from .mbqc import GateProgram
 from .modes import DetectionSetup
 from .synth import SynthesisSolution
 
+#: Largest squeezing ``r`` whose variance ``e^{2r}`` is a finite float64 (about 354.9).
+_R_MAX = math.log(np.finfo(float).max) / 2
+
 
 def omega(n_modes: int) -> np.ndarray:
     """Symplectic form for the (q..., p...) ordering: [[0, I], [-I, 0]]."""
@@ -114,6 +117,8 @@ def squeezed_input(n_modes: int, r: float, squeeze_axes=None) -> GaussianState:
     for axis in axes:
         if axis not in ("q", "p"):
             raise ValidationError(f"squeeze axis must be 'q' or 'p', got {axis!r}")
+    if not r <= _R_MAX:
+        raise ValidationError("state contains non-finite values")
     log_q = np.array([r if axis == "p" else -r for axis in axes], dtype=float)
     diag = np.exp(np.concatenate([log_q, -log_q]))
     return GaussianState._from_factor(np.zeros(2 * n_modes), np.diag(diag))
@@ -266,6 +271,8 @@ def simulate_mphd(
         raise DimensionError("setup and solution dimensions do not match")
     if plan.n_modes != n:
         raise DimensionError(f"plan covers {plan.n_modes} modes, pipeline has {n}")
+    if not r <= _R_MAX:
+        raise ValidationError(f"covariance is not finite at r = {r}")
     squeeze = np.exp(np.repeat([float(r), -float(r)], n))
     staged = symplectic_from_unitary(g) * squeeze
     staged = symplectic_from_unitary(sol.delta_lo.matrix()) @ staged
@@ -367,6 +374,8 @@ def run_gate_program(
     tracked = np.zeros((2 * n, n + 2))
     tracked[:, 1:3] = s[:, [0, n]]
     tracked[:, 0] = tracked[:, 1:3] @ input_state.mean
+    if not r <= _R_MAX:
+        raise ValidationError("state contains non-finite values")
     cluster = np.delete(s, [0, n], axis=1) * np.exp(np.repeat([float(r), -float(r)], n - 1))
     factor = np.hstack([tracked[:, 1:3] @ input_state.factor, cluster])
     rng = np.random.default_rng(seed)

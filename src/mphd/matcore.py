@@ -12,7 +12,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -111,16 +112,24 @@ class DiagonalUnitary:
         return cls(np.zeros(n))
 
 
+def _frozen_instances(cls, count: int, *columns) -> list:
+    """``count`` instances of the frozen dataclass ``cls``, one column per field, without __init__."""
+    names, columns = [f.name for f in fields(cls)], [iter(column) for column in columns]
+    # the first is complete before the rest exist, so all share its keys (compact instance dicts)
+    first = object.__new__(cls)
+    for name, column in zip(names, columns):
+        object.__setattr__(first, name, next(column))
+    rest = [object.__new__(cls) for _ in range(count - 1)]
+    for name, column in zip(names, columns):
+        list(map(object.__setattr__, rest, repeat(name), column))
+    return [first, *rest]
+
+
 def _diagonal_rows(phases: np.ndarray) -> list[DiagonalUnitary]:
     """One :class:`DiagonalUnitary` per row of a 2-D block, checked for finite values once."""
     if not np.isfinite(phases).all():
         raise ValidationError("phases contain non-finite values")
-    rows = []
-    for row in phases:
-        unitary = object.__new__(DiagonalUnitary)
-        object.__setattr__(unitary, "phases", row)
-        rows.append(unitary)
-    return rows
+    return _frozen_instances(DiagonalUnitary, len(phases), phases)
 
 
 def procrustes_best_orthogonal(b) -> np.ndarray:

@@ -7,12 +7,19 @@ possible exactly iff ``U'^T U'`` is diagonal with unit-modulus entries, where
 ``U' = U_th G^dag``; then each of the ``2**N`` square-root branches
 ``Delta_LO`` of that diagonal yields an exact solution ``O = U' Delta_LO^{-1}``,
 and every branch is the principal (half-angle) solution with sign flips.
+The principal branch (its half-angle phases, real gains and orthogonality
+check) is built once per :class:`FeasibilityReport`, on first use, and the
+branches are built as one block. :func:`verify_solution` checks its inputs
+for finite values only when a check fails.
 Targets that fail the test can still be approximated in Frobenius distance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from .matcore import (
     DEFAULT_TOL,
     DiagonalUnitary,
     _diagonal_rows,
+    _frozen_instances,
     as_complex_matrix,
     frobenius_distance,
     is_real_orthogonal,
@@ -42,7 +50,9 @@ class FeasibilityReport:
 
     ``feasible`` holds iff both residuals are within ``tol``: the off-diagonal
     residual is the largest off-diagonal modulus of ``D = U'^T U'`` and the
-    modulus residual the largest deviation of ``|d_kk|`` from 1.
+    modulus residual the largest deviation of ``|d_kk|`` from 1. The
+    principal branch's phases and gains are computed once per report, on
+    first use; a ``dataclasses.replace`` copy starts without them.
     """
 
     u_prime: np.ndarray
@@ -58,6 +68,19 @@ class FeasibilityReport:
 
     def d_diagonal(self) -> np.ndarray:
         return np.diag(self.d_candidate)
+
+    @cached_property
+    def _principal(self) -> tuple[np.ndarray, np.ndarray]:
+        """Principal phases ``wrap_angle(arg d_kk) / 2`` in ``(-pi/2, pi/2]`` and real gains."""
+        d = self.d_diagonal()
+        phases = wrap_angle(np.angle(d / np.abs(d))) / 2.0
+        o_complex = self.u_prime * np.conj(np.exp(1j * phases))[None, :]
+        if not is_real_orthogonal(o_complex, max(100 * self.tol, 1e-10)):
+            raise InternalConsistencyError(
+                "reconstructed gain matrix is not real orthogonal; this indicates "
+                "a bug or a barely-feasible report"
+            )
+        return phases, o_complex.real
 
 
 @dataclass(frozen=True)
@@ -120,41 +143,19 @@ def feasibility(u_th, g, tol: float = DEFAULT_TOL) -> FeasibilityReport:
 
 def _mphd_unitary(gains, phases, g) -> np.ndarray:
     """The detector unitary ``O . diag(e^{i phases}) . G``."""
-    return (gains * np.exp(1j * phases)) @ g
+    return np.dot(gains * np.exp(1j * phases), g)
 
 
-def _principal_solution(report: FeasibilityReport, g, u_th) -> SynthesisSolution:
-    """The branch with half-angle phases ``wrap_angle(arg d_kk) / 2`` in ``(-pi/2, pi/2]``."""
-    d = report.d_diagonal()
-    delta = DiagonalUnitary(wrap_angle(np.angle(d / np.abs(d))) / 2.0)
-    o_complex = report.u_prime * np.conj(delta.diagonal())[None, :]
-    ortho_tol = max(100 * report.tol, 1e-10)
-    if not is_real_orthogonal(o_complex, ortho_tol):
-        raise InternalConsistencyError(
-            "reconstructed gain matrix is not real orthogonal; this indicates "
-            "a bug or a barely-feasible report"
-        )
-    gains = o_complex.real
-    u_mphd = _mphd_unitary(gains, delta.phases, g)
+def _branches(report: FeasibilityReport, g, u_th, bits: np.ndarray) -> list[SynthesisSolution]:
+    """A branch per 0/1 row ``b``: gain columns times ``1 - 2b``, phases + ``pi b``; one u_mphd."""
+    phases, gains = report._principal
+    u_mphd = _mphd_unitary(gains, phases, g)
     u_mphd.setflags(write=False)
-    return SynthesisSolution(
-        delta_lo=delta,
-        gains=gains,
-        u_mphd=u_mphd,
-        residual=frobenius_distance(u_mphd, u_th),
-        branch_id=(0,) * report.dim,
+    return _frozen_instances(
+        SynthesisSolution, len(bits), _diagonal_rows(phases + np.pi * bits),
+        gains[None] * (1.0 - 2.0 * bits)[:, None, :], repeat(u_mphd),
+        repeat(frobenius_distance(u_mphd, u_th)), map(tuple, bits.tolist()),
     )
-
-
-def _branches(principal: SynthesisSolution, bits: np.ndarray) -> list[SynthesisSolution]:
-    """A branch per row ``b`` of the 0/1 block: gain columns times ``1 - 2b``, phases + ``pi b``."""
-    deltas = _diagonal_rows(principal.delta_lo.phases + np.pi * bits)
-    gains = principal.gains[None] * (1 - 2 * bits)[:, None, :]
-    u_mphd, residual = principal.u_mphd, principal.residual
-    return [
-        SynthesisSolution(delta, gain, u_mphd, residual, branch_id)
-        for delta, gain, branch_id in zip(deltas, gains, map(tuple, bits.tolist()))
-    ]
 
 
 def solve_exact(
@@ -176,7 +177,7 @@ def solve_exact(
         raise DimensionError(f"branch must have length {report.dim}")
     if not np.all((bits == 0) | (bits == 1)):
         raise ValidationError(f"branch must contain only bits 0/1, got {branch!r}")
-    return _branches(_principal_solution(report, g, u_th), bits.astype(int)[None])[0]
+    return _branches(report, g, u_th, bits.astype(int)[None])[0]
 
 
 def enumerate_solutions(report: FeasibilityReport, g, u_th) -> list[SynthesisSolution]:
@@ -192,29 +193,35 @@ def enumerate_solutions(report: FeasibilityReport, g, u_th) -> list[SynthesisSol
     if report.dim > 16:
         raise CapacityError(f"2**{report.dim} branches is too many; use solve_exact per branch")
     bits = (np.arange(2**report.dim)[:, None] >> np.arange(report.dim)[::-1]) & 1
-    return _branches(_principal_solution(report, g, u_th), bits)
+    return _branches(report, g, u_th, bits)
 
 
 def verify_solution(sol: SynthesisSolution, u_th, g, tol: float = 1e-10) -> float:
     """Recompute ``O Delta_LO G`` from stored parameters; return its distance to ``U_th``.
 
     Also enforces the stored-product invariant: the recomputed matrix must be
-    within ``tol`` of ``sol.u_mphd`` (a NaN fails it); a non-finite ``g``
-    raises ``ValidationError`` instead.
+    within ``tol`` of ``sol.u_mphd`` (a NaN fails it). Inputs are checked
+    for finite values only when a check fails: a non-finite ``u_th`` or
+    ``g`` raises ``ValidationError``, in that order.
     """
-    u = as_complex_matrix(u_th, "u_th")
+    u = np.asarray(u_th)
     product = _mphd_unitary(sol.gains, sol.delta_lo.phases, g)
     if product.shape != u.shape:
+        as_complex_matrix(u_th, "u_th")
         raise DimensionError(f"shape mismatch: product {product.shape} vs u_th {u.shape}")
     diff = product - sol.u_mphd
-    if not (np.sqrt(np.vdot(diff, diff).real) <= tol):
+    if not (math.sqrt(np.vdot(diff, diff).real) <= tol):
+        as_complex_matrix(u_th, "u_th")
         if not np.all(np.isfinite(g)):
             raise ValidationError("g contains non-finite values")
         raise InternalConsistencyError(
             "stored u_mphd differs from the recomputed product beyond tolerance"
         )
     diff = product - u
-    return float(np.sqrt(np.vdot(diff, diff).real))
+    distance = math.sqrt(np.vdot(diff, diff).real)
+    if not math.isfinite(distance):
+        as_complex_matrix(u_th, "u_th")
+    return distance
 
 
 def _objective(gains, phases, g, u_th) -> float:

@@ -589,6 +589,7 @@ class TestUsageErrors:
             ("synthesize", {"preset": "lin4", "modes": {"file": 0}}, []),
             ("simulate", {"preset": "identity", "solution_report": 0, "shots": 2}, []),
             ("synthesize", {"preset": "cz2", "optimizer": {"restarts": 0, "max_iters": -3}}, []),
+            ("gate", {"preset": "fourier", "input_squeezing": 0.3}, []),
         ],
         ids=[
             "family", "structure", "gate-shots", "cluster-seed", "simulate-tolerances",
@@ -606,7 +607,7 @@ class TestUsageErrors:
             "empty-target", "unknown-gate", "cluster-without-graph", "euler-on-four-vertices",
             "list-root", "modes-n-fraction", "pixels-count-fraction", "modes-n-bool",
             "shots-fraction", "seed-fraction", "modes-file-number", "solution-report-number",
-            "optimizer-counts-below-1",
+            "optimizer-counts-below-1", "input-squeezing-without-r",
         ],
     )
     def test_exits_1_with_message(self, tmp_path, monkeypatch, capsys, command, doc, flags):
@@ -634,6 +635,11 @@ class TestUsageErrors:
         code, report = run_command(tmp_path, command, doc)
         assert (code, report) == (1, None)
         assert message in capsys.readouterr().err
+
+    def test_input_squeezing_without_r_is_named(self, tmp_path, capsys):
+        code, report = run_command(tmp_path, "gate", {"preset": "fourier", "input_squeezing": 0.3})
+        assert (code, report) == (1, None)
+        assert "config.input_squeezing is read only with 'r'" in capsys.readouterr().err
 
     def test_traceback_logged_at_debug(self, tmp_path, caplog):
         caplog.set_level(logging.DEBUG, logger="mphd")

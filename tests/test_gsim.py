@@ -137,10 +137,11 @@ class TestStates:
             (2, 1.0, ["q"], DimensionError, "1 squeeze axes given for 2 modes"),
             (1, 1.0, ["x"], ValidationError, "squeeze axis must be 'q' or 'p'"),
             (1, 800.0, None, ValidationError, "non-finite"),
+            (1, 400.0, None, ValidationError, "non-finite"),
         ],
-        ids=["axis-count", "bad-axis", "non-finite-factor"],
+        ids=["axis-count", "bad-axis", "non-finite-factor", "non-finite-variance"],
     )
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_squeezed_input_rejects(self, n, r, axes, error, message):
         with pytest.raises(error, match=message):
             squeezed_input(n, r, axes)
@@ -306,10 +307,11 @@ class TestSimulateMphd:
             ({"setup": make_setup(np.eye(2, dtype=complex))}, DimensionError, "dimensions do not match"),
             ({"plan": MeasurementPlan(angles=[0.0] * 3)}, DimensionError, "plan covers 3 modes"),
             ({"r": 400.0}, ValidationError, "covariance is not finite at r = 400"),
+            ({"r": np.nan}, ValidationError, "covariance is not finite at r = nan"),
         ],
-        ids=["no-shots", "negative-r", "setup-of-another-size", "plan-of-another-size", "r-400"],
+        ids=["no-shots", "negative-r", "setup-of-another-size", "plan-of-another-size", "r-400", "r-nan"],
     )
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_rejects_inputs_outside_its_envelope(self, change, error, message):
         setup, sol, plan = fourier_pipeline(4)
         args = {"setup": setup, "sol": sol, "plan": plan, "r": 1.0, "shots": 2, **change}
@@ -591,6 +593,12 @@ class TestRunGateProgram:
     def test_rejects_negative_squeezing(self):
         with pytest.raises(ValidationError, match="cluster squeezing must be >= 0"):
             run_gate_program(fourier_program(), vacuum(1), -1.0)
+
+    @pytest.mark.parametrize("r", [400.0, np.inf, np.nan])
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_squeezing_that_overflows_before_exponentiating(self, r):
+        with pytest.raises(ValidationError, match="non-finite"):
+            run_gate_program(fourier_program(), vacuum(1), r)
 
     def test_rejects_plan_of_another_size(self):
         program = fourier_program()

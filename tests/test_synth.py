@@ -124,8 +124,10 @@ class TestSolveExact:
         c, s = np.cos(0.3), np.sin(0.3)
         u = np.array([[c, 1j * s], [1j * s, c]])
         report = dataclasses.replace(feasibility(u, CZ2_G), feasible=True)
-        with pytest.raises(InternalConsistencyError, match="not real orthogonal"):
-            solve_exact(report, CZ2_G, u)
+        # a failed principal build is not cached: every call raises again
+        for build in (solve_exact, solve_exact, enumerate_solutions):
+            with pytest.raises(InternalConsistencyError, match="not real orthogonal"):
+                build(report, CZ2_G, u)
 
     def test_branch_length_checked(self):
         report = feasibility(rv.G_LIN4, rv.G_LIN4)
@@ -143,6 +145,69 @@ class TestSolveExact:
         sol = solve_exact(report, rv.G_LIN4, rv.CLUSTER_4, branch=(1, 0, 0, 1))
         with pytest.raises(ValueError):
             sol.u_mphd[0, 0] = 0.0
+
+
+class TestPrincipalOncePerReport:
+    """The principal branch is built once per feasibility report, whatever asks for it."""
+
+    @staticmethod
+    def count_principal_builds(monkeypatch):
+        calls = []
+
+        def counting(m, tol):
+            calls.append(tol)
+            return is_real_orthogonal(m, tol)
+
+        monkeypatch.setattr("mphd.synth.is_real_orthogonal", counting)
+        return calls
+
+    def test_solve_exact_and_enumerate_share_one_build(self, monkeypatch):
+        calls = self.count_principal_builds(monkeypatch)
+        report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
+        singles = [
+            solve_exact(report, rv.G_LIN4, rv.CLUSTER_4, bits)
+            for bits in itertools.product((0, 1), repeat=4)
+        ]
+        family = enumerate_solutions(report, rv.G_LIN4, rv.CLUSTER_4)
+        assert len(calls) == 1
+        for single, branch in zip(singles, family):
+            assert single.branch_id == branch.branch_id
+            assert np.array_equal(single.gains, branch.gains)
+            assert np.array_equal(single.delta_lo.phases, branch.delta_lo.phases)
+
+    def test_solutions_do_not_alias_the_cached_principal(self):
+        report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
+        first = solve_exact(report, rv.G_LIN4, rv.CLUSTER_4)
+        gains, phases = first.gains.copy(), first.delta_lo.phases.copy()
+        first.gains[:] = 0.0
+        first.delta_lo.phases[:] = 0.0
+        again = solve_exact(report, rv.G_LIN4, rv.CLUSTER_4)
+        assert np.array_equal(again.gains, gains)
+        assert np.array_equal(again.delta_lo.phases, phases)
+
+    def test_a_replaced_report_builds_its_own(self, monkeypatch):
+        calls = self.count_principal_builds(monkeypatch)
+        report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
+        solve_exact(report, rv.G_LIN4, rv.CLUSTER_4)
+        solve_exact(dataclasses.replace(report), rv.G_LIN4, rv.CLUSTER_4)
+        assert len(calls) == 2
+
+    def test_branches_are_frozen_dataclass_instances(self):
+        report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
+        family = enumerate_solutions(report, rv.G_LIN4, rv.CLUSTER_4)
+        for sol in (family[9], solve_exact(report, rv.G_LIN4, rv.CLUSTER_4, (1, 0, 0, 1))):
+            assert [f.name for f in dataclasses.fields(sol)] == [
+                "delta_lo", "gains", "u_mphd", "residual", "branch_id"
+            ]
+            moved = dataclasses.replace(sol, residual=1.0)
+            assert (moved.residual, moved.branch_id) == (1.0, sol.branch_id)
+            assert moved.gains is sol.gains
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                sol.residual = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                sol.delta_lo.phases = np.zeros(4)
+            assert dataclasses.replace(sol.delta_lo).dim == 4
+            assert dataclasses.replace(sol) == sol
 
 
 class TestEnumerateSolutions:
@@ -326,6 +391,25 @@ class TestVerifySolution:
         g[0, 0] = np.nan
         with pytest.raises(ValidationError, match="g contains"):
             verify_solution(sol, rv.CLUSTER_4, g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_is_a_validation_error(self, bad):
+        sol = solve_exact(feasibility(rv.CLUSTER_4, rv.G_LIN4), rv.G_LIN4, rv.CLUSTER_4)
+        u = rv.CLUSTER_4.copy()
+        u[2, 1] = bad
+        with pytest.raises(ValidationError, match="u_th contains non-finite"):
+            verify_solution(sol, u, rv.G_LIN4)
+
+    def test_target_checked_before_shape_and_g(self):
+        sol = solve_exact(feasibility(rv.CLUSTER_4, rv.G_LIN4), rv.G_LIN4, rv.CLUSTER_4)
+        u, g = rv.CLUSTER_4.copy(), rv.G_LIN4.copy()
+        u[0, 0] = g[0, 0] = np.nan
+        with pytest.raises(ValidationError, match="u_th contains non-finite"):
+            verify_solution(sol, u, g)
+        with pytest.raises(ValidationError, match="u_th contains non-finite"):
+            verify_solution(sol, u[:3], rv.G_LIN4)
+        with pytest.raises(DimensionError, match="u_th must be 2-D"):
+            verify_solution(sol, rv.CLUSTER_4[0], rv.G_LIN4)
 
     def test_target_shape_checked(self):
         report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
