@@ -11,7 +11,6 @@ from .cluster import (
     ClusterSolution,
     ClusterValidation,
     cluster_unitary,
-    euler_orthogonal,
     linear_cluster_3,
     linear_cluster_4,
     path_adjacency,

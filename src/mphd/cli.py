@@ -6,15 +6,18 @@ A ``preset`` is merged under the user's config by :func:`merge`: user keys
 win, a block listed in ``_CHOICES`` takes one of its alternatives (the one
 the user picks displaces the preset's other ones, and two alternatives from
 the user are a usage error), and the preset's keys the command does not read
-are dropped. Integer leaves (``_INT_KEYS``) must be JSON integers and path
-leaves (``_PATH_KEYS``) strings. ``optimizer`` takes only ``max_iters`` and
+are dropped. Integer leaves (``_INT_KEYS``) must be JSON integers, boolean
+leaves (``_BOOL_KEYS``) JSON booleans and path leaves (``_PATH_KEYS``)
+strings. ``optimizer`` takes only ``max_iters`` and
 ``restarts``, each at least 1; its seed is ``seed`` and its tolerance
 ``tolerances.feasibility``.
 The schema also gives each command its flags: ``--seed``, ``--branch`` and
 ``--tol`` exist only where the command reads ``seed``, ``branch`` and
-``tolerances`` (``synthesize`` and ``gate`` take all three, ``cluster`` only
-``--tol``, ``simulate`` ``--seed`` and ``--branch``), and a given flag
-overrides its config value. ``gate`` is ``synthesize`` on a gate target,
+``tolerances`` (``synthesize`` and ``gate`` take all three, ``simulate``
+``--seed`` and ``--branch``, ``cluster`` none), and a given flag overrides
+its config value. ``cluster`` reads only ``graph`` and ``freedom.matrix`` and
+reports the graph's algebra; ``synthesize`` on a ``target.graph`` is the one
+route from a graph to a detector. ``gate`` is ``synthesize`` on a gate target,
 whose report carries the compiled ``program``, plus one run of that program
 on the synthesized detector when ``r`` is given. Reports are JSON with every
 matrix carried at full precision next to a 2-decimal display block, and
@@ -55,7 +58,7 @@ _SYNTH_KEYS = _COMMON_KEYS | {"tolerances", "seed", "target", "optimizer", "bran
 #: The top-level keys each command reads; also the source of its flags.
 ALLOWED_KEYS = {
     "synthesize": _SYNTH_KEYS,
-    "cluster": _COMMON_KEYS | {"tolerances", "graph", "freedom"},
+    "cluster": {"graph", "freedom"},
     "gate": _SYNTH_KEYS | {"r", "input_squeezing"},
     "simulate": _COMMON_KEYS
     | {"seed", "target", "solution", "solution_report", "branch", "plan", "r", "shots", "csv_path"},
@@ -73,7 +76,7 @@ _NESTED_KEYS = {
     "optimizer": {"max_iters", "restarts"},
     "plan": {"angles", "offsets", "gains"},
     "solution": {"phases", "gains"},
-    "freedom": {"euler", "matrix"},
+    "freedom": {"matrix"},
 }
 
 #: Per block (``None``: the top level), the alternatives of which a config gives one.
@@ -82,12 +85,12 @@ _CHOICES = {
     "modes": ({"file"}, {"n", "grid_points", "domain"}),
     "pixels": ({"count"}, {"boundaries"}),
     "graph": ({"adjacency"}, {"edges", "n"}),
-    "freedom": ({"euler"}, {"matrix"}),
     "target": tuple({form} for form in sorted(_TARGET_FORMS)),
 }
 
-#: Leaves that must be JSON integers, and leaves that must be file paths, in any block.
+#: Leaves that must be JSON integers, booleans or file paths, in any block.
 _INT_KEYS = {"n", "grid_points", "lo_index", "count", "seed", "shots", "max_iters", "restarts"}
+_BOOL_KEYS = {"enumerate", "identity"}
 _PATH_KEYS = {"file", "solution_report", "csv_path"}
 
 #: Flags by the schema key they override: (flag, type, nested key or None, help).
@@ -105,8 +108,8 @@ def merge(base: dict, user: dict, allowed: set, block: str | None = None) -> dic
     ``_CHOICES`` entry; the alternative the user picks displaces the base's
     other ones, and base keys outside ``allowed`` are dropped. Blocks named in
     ``_NESTED_KEYS`` merge recursively; any other user value replaces the
-    base's whole, and must be an integer under a ``_INT_KEYS`` name and a
-    string under a ``_PATH_KEYS`` one.
+    base's whole, and must be an integer under a ``_INT_KEYS`` name, a
+    boolean under a ``_BOOL_KEYS`` one and a string under a ``_PATH_KEYS`` one.
     """
     where = f"config.{block}" if block else "config"
     if not isinstance(user, dict):
@@ -129,6 +132,8 @@ def merge(base: dict, user: dict, allowed: set, block: str | None = None) -> dic
             value = merge(sub, value, _NESTED_KEYS[key], name)
         elif key in _INT_KEYS and type(value) is not int:
             raise ConfigError(f"config.{name} must be an integer, got {value!r}")
+        elif key in _BOOL_KEYS and type(value) is not bool:
+            raise ConfigError(f"config.{name} must be true or false, got {value!r}")
         elif key in _PATH_KEYS and not isinstance(value, str):
             raise ConfigError(f"config.{name} must be a file path, got {value!r}")
         out[key] = value
@@ -178,10 +183,6 @@ def feasibility_to_json(fre) -> dict:
 
 # ---------------------------------------------------------------------------
 # config resolution
-
-def _resolve_tolerance(config) -> float:
-    return float(config.get("tolerances", {}).get("feasibility", DEFAULT_TOL))
-
 
 def _resolve_detection(config):
     """Build the detection front end from the config; return (setup, echo).
@@ -373,7 +374,7 @@ def cmd_synthesize(config: dict) -> tuple[dict, int]:
     of the lead solution, ``O . Delta_LO . G``, and the report gains its
     ``verification`` block.
     """
-    tol = _resolve_tolerance(config)
+    tol = float(config.get("tolerances", {}).get("feasibility", DEFAULT_TOL))
     setup, det_echo = _resolve_detection(config)
     g = setup.g
     u_th, target_echo, program = _resolve_target(config, g)
@@ -434,40 +435,23 @@ def cmd_synthesize(config: dict) -> tuple[dict, int]:
 
 
 def cmd_cluster(config: dict) -> tuple[dict, int]:
+    """Report the graph's algebra: ``A``, ``X_s``, the freedom ``O_f`` and ``U``."""
     if "graph" not in config:
         raise ConfigError("cluster command needs a 'graph' block")
     v = _graph_adjacency(config["graph"])
-    freedom = None
-    fdoc = config.get("freedom")
-    if fdoc is not None:
-        if "euler" in fdoc:
-            if v.shape[0] != 3:
-                raise ConfigError("euler freedom is only defined for 3-vertex graphs")
-            freedom = cluster_mod.euler_orthogonal(*map(float, fdoc["euler"]))
-        else:
-            freedom = np.asarray(fdoc["matrix"], dtype=float)
-    report: dict = {"config": {"graph": {"adjacency": v.tolist()}}}
-    solution = cluster_mod.cluster_unitary(v, freedom)
+    solution = cluster_mod.cluster_unitary(v, config.get("freedom", {}).get("matrix"))
     validation = cluster_mod.validate_cluster(solution.u, v)
-    report.update(
-        {
-            "a": solution.a.tolist(),
-            "a_display": mat_display(solution.a),
-            "x_s": solution.x_s.tolist(),
-            "x_s_display": mat_display(solution.x_s),
-            "freedom": solution.orthogonal_freedom.tolist(),
-            "u": mat_to_json(solution.u),
-            "u_display": mat_display(solution.u),
-            "validation": {"passed": validation.passed, "residuals": validation.residuals},
-        }
-    )
-    if set().union(*_CHOICES[None]) & set(config):
-        tol = _resolve_tolerance(config)
-        setup, det_echo = _resolve_detection(config)
-        report["config"].update(det_echo)
-        report["feasibility"] = feasibility_to_json(synth.feasibility(solution.u, setup.g, tol))
-    elif "tolerances" in config:
-        raise ConfigError("cluster reads 'tolerances' (--tol) only with 'modes' or 'detection'")
+    report = {
+        "config": {"graph": {"adjacency": v.tolist()}},
+        "a": solution.a.tolist(),
+        "a_display": mat_display(solution.a),
+        "x_s": solution.x_s.tolist(),
+        "x_s_display": mat_display(solution.x_s),
+        "freedom": solution.orthogonal_freedom.tolist(),
+        "u": mat_to_json(solution.u),
+        "u_display": mat_display(solution.u),
+        "validation": {"passed": validation.passed, "residuals": validation.residuals},
+    }
     return report, 0
 
 

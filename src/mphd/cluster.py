@@ -148,18 +148,6 @@ def validate_cluster(u, v, tol: float = 1e-9) -> ClusterValidation:
     )
 
 
-def euler_orthogonal(psi: float, theta: float, phi: float) -> np.ndarray:
-    """3x3 rotation from the Euler factorization R(psi) R(theta) R(phi)."""
-
-    def _rz(angle):
-        c, s = np.cos(angle), np.sin(angle)
-        return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-
-    c, s = np.cos(theta), np.sin(theta)
-    ry = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-    return _rz(psi) @ ry @ _rz(phi)
-
-
 def linear_cluster_3() -> np.ndarray:
     """Generator of the three-mode linear (path) cluster used by the gate programs."""
     s2, s3, s6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)

@@ -366,6 +366,10 @@ def run_gate_program(
         raise DimensionError("input preparation must be a single-mode state")
     if r < 0:
         raise ValidationError(f"cluster squeezing must be >= 0, got {r}")
+    # S has unit-norm rows, so a conditioning step's Householder vector has a
+    # squared norm of up to 4 e^{2r}; keep that finite, not only e^{2r}
+    if not r <= _R_MAX - math.log(2):
+        raise ValidationError("state contains non-finite values")
     plan, n = program.plan, program.plan.n_modes
     s = symplectic_from_unitary(program.u_th)
     if s.shape != (2 * n, 2 * n):
@@ -374,8 +378,6 @@ def run_gate_program(
     tracked = np.zeros((2 * n, n + 2))
     tracked[:, 1:3] = s[:, [0, n]]
     tracked[:, 0] = tracked[:, 1:3] @ input_state.mean
-    if not r <= _R_MAX:
-        raise ValidationError("state contains non-finite values")
     cluster = np.delete(s, [0, n], axis=1) * np.exp(np.repeat([float(r), -float(r)], n - 1))
     factor = np.hstack([tracked[:, 1:3] @ input_state.factor, cluster])
     rng = np.random.default_rng(seed)

@@ -9,7 +9,7 @@ import pytest
 
 import mphd
 import refvals as rv
-from mphd.cli import _CHOICES, _NESTED_KEYS, ALLOWED_KEYS, mat_from_json, merge, run
+from mphd.cli import _CHOICES, _NESTED_KEYS, ALLOWED_KEYS, feasibility_to_json, mat_from_json, merge, run
 from mphd.presets import PRESETS
 
 
@@ -34,7 +34,13 @@ IDENTITY_SIMULATION = {
     "shots": 2,
 }
 EDGE = {"graph": {"edges": [[0, 1]]}}
+PATH4 = {"graph": {"edges": [[0, 1], [1, 2], [2, 3]]}}
 IDENTITY_DETECTION = {"detection": {"matrix": {"re": np.eye(2).tolist()}}, "target": {"identity": True}}
+
+
+def qr_orthogonal(n, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    return q
 
 
 class TestSynthesize:
@@ -83,6 +89,38 @@ class TestSynthesize:
         )
         assert code == 0
         assert report["feasibility"]["tol"] == 1e-7
+
+    def test_graph_target_feasibility_block(self, tmp_path):
+        doc = {
+            "modes": {"family": "flip", "n": 4},
+            "pixels": {"count": 4},
+            "opo_phases": list(rv.OPO_LIN4),
+            "target": PATH4,
+        }
+        code, report = run_command(tmp_path, "synthesize", doc)
+        assert isinstance(report["feasibility"]["feasible"], bool)
+        assert code == (0 if report["feasibility"]["feasible"] else 2)
+
+    def test_tol_flag_reaches_graph_target_feasibility_block(self, tmp_path):
+        code, report = run_command(
+            tmp_path, "synthesize", {"preset": "lin4", "target": PATH4}, "--tol", "1e-7"
+        )
+        assert code in (0, 2)
+        assert report["feasibility"]["tol"] == 1e-7
+
+    def test_cluster_u_compiles_as_matrix_target(self, tmp_path):
+        # a user's own O_f reaches the detector by composition: cluster's u as target.matrix
+        m = qr_orthogonal(4, seed=5)
+        doc = {**PATH4, "freedom": {"matrix": m.tolist()}}
+        _, cluster = run_command(tmp_path, "cluster", doc, out="cluster.json")
+        code, report = run_command(
+            tmp_path, "synthesize", {"preset": "lin4", "target": {"matrix": cluster["u"]}}
+        )
+        v = np.asarray(cluster["config"]["graph"]["adjacency"])
+        g = mat_from_json(report["config"]["g"])
+        fre = mphd.feasibility(mphd.cluster_unitary(v, m).u, g, mphd.DEFAULT_TOL)
+        assert report["feasibility"] == json.loads(json.dumps(feasibility_to_json(fre)))
+        assert code == (0 if fre.feasible else 2)
 
     def test_explicit_matrix_target(self, tmp_path):
         doc = {
@@ -263,42 +301,19 @@ class TestCluster:
         assert code == 0
         np.testing.assert_allclose(mat_from_json(report["u"]), [[1.0]], atol=1e-12)
 
-    def test_four_path_with_feasibility_block(self, tmp_path):
-        doc = {
-            "graph": {"edges": [[0, 1], [1, 2], [2, 3]]},
-            "modes": {"family": "flip", "n": 4},
-            "pixels": {"count": 4},
-            "opo_phases": list(rv.OPO_LIN4),
-        }
-        code, report = run_command(tmp_path, "cluster", doc)
-        assert code == 0
-        assert report["validation"]["passed"] is True
-        assert "feasibility" in report
-        assert isinstance(report["feasibility"]["feasible"], bool)
-
-    def test_tol_flag_reaches_feasibility_block(self, tmp_path):
-        doc = {"graph": {"edges": [[0, 1], [1, 2], [2, 3]]}, "preset": "lin4"}
-        code, report = run_command(tmp_path, "cluster", doc, "--tol", "1e-7")
-        assert code == 0
-        assert report["feasibility"]["tol"] == 1e-7
-
-    def test_euler_freedom(self, tmp_path):
-        doc = {
-            "graph": {"edges": [[0, 1], [1, 2]]},
-            "freedom": {"euler": [0.3, -0.2, 1.0]},
-        }
-        code, report = run_command(tmp_path, "cluster", doc)
-        assert code == 0
-        assert report["validation"]["passed"] is True
-
     def test_freedom_matrix(self, tmp_path):
-        m = mphd.cluster.euler_orthogonal(0.3, -0.2, 1.0)
+        m = qr_orthogonal(3, seed=5)
         doc = {"graph": {"edges": [[0, 1], [1, 2]]}, "freedom": {"matrix": m.tolist()}}
         code, report = run_command(tmp_path, "cluster", doc)
         assert code == 0
         x = mat_from_json(report["u"]).real
         np.testing.assert_allclose(x, np.asarray(report["x_s"]) @ m, atol=1e-12)
         np.testing.assert_array_equal(report["freedom"], m)
+
+    def test_empty_freedom_is_identity(self, tmp_path):
+        code, report = run_command(tmp_path, "cluster", {**EDGE, "freedom": {}})
+        assert code == 0
+        np.testing.assert_array_equal(report["freedom"], np.eye(2))
 
     def test_edge_weight_not_counted_as_vertex(self, tmp_path):
         code, report = run_command(tmp_path, "cluster", {"graph": {"edges": [[0, 1, 3]]}})
@@ -537,7 +552,7 @@ class TestUsageErrors:
             ("simulate", {"preset": "identity", "solution_report": "list.json", "shots": 2}, []),
             ("synthesize", {**IDENTITY_DETECTION, "pixels": {"count": 7}}, []),
             ("synthesize", {**IDENTITY_DETECTION, "opo_phases": [1, 2, 3]}, []),
-            ("cluster", {**EDGE, "detection": IDENTITY_DETECTION["detection"], "modes": {"n": 2}}, []),
+            ("synthesize", {**IDENTITY_DETECTION, "modes": {"n": 2}}, []),
             (
                 "synthesize",
                 {"modes": {"file": "basis.txt", "n": 9, "grid_points": 5}, "target": {"identity": True}},
@@ -552,11 +567,6 @@ class TestUsageErrors:
                 [],
             ),
             ("cluster", {"graph": {"adjacency": [[0, 1], [1, 0]], "edges": [[0, 1]]}}, []),
-            (
-                "cluster",
-                {"graph": {"edges": [[0, 1], [1, 2]]}, "freedom": {"euler": [0, 0, 0], "matrix": np.eye(3).tolist()}},
-                [],
-            ),
             ("cluster", {**EDGE, "pixels": {"count": 2}}, []),
             ("synthesize", {"preset": ["lin4"]}, []),
             ("synthesize", {"preset": "lin4", "opo_phases": "abc"}, []),
@@ -574,12 +584,7 @@ class TestUsageErrors:
             ("synthesize", {"preset": "lin4", "target": {"named": "lin5"}}, []),
             ("synthesize", {**IDENTITY_DETECTION, "target": {}}, []),
             ("gate", {"preset": "fourier", "target": {"gate": {"name": "cz"}}}, []),
-            ("cluster", {"preset": "lin4"}, []),
-            (
-                "cluster",
-                {"graph": {"edges": [[0, 1], [1, 2], [2, 3]]}, "freedom": {"euler": [0, 0, 0]}},
-                [],
-            ),
+            ("cluster", {"freedom": {"matrix": [[1.0]]}}, []),
             ("synthesize", ["lin4"], []),
             ("synthesize", {"preset": "lin4", "modes": {"n": 2.7}}, []),
             ("synthesize", {"preset": "lin4", "pixels": {"count": 2.9}}, []),
@@ -590,24 +595,32 @@ class TestUsageErrors:
             ("simulate", {"preset": "identity", "solution_report": 0, "shots": 2}, []),
             ("synthesize", {"preset": "cz2", "optimizer": {"restarts": 0, "max_iters": -3}}, []),
             ("gate", {"preset": "fourier", "input_squeezing": 0.3}, []),
+            ("cluster", {**EDGE, "modes": {"n": 2}}, []),
+            ("cluster", {**EDGE, "detection": IDENTITY_DETECTION["detection"]}, []),
+            ("cluster", {**EDGE, "modes": {"n": 2}, "opo_phases": [0.1, 0.2]}, []),
+            ("cluster", {**EDGE, "preset": "cz2"}, []),
+            ("synthesize", {"preset": "lin4", "enumerate": "false"}, []),
+            ("synthesize", {"preset": "lin4", "target": {"identity": "no"}}, []),
         ],
         ids=[
             "family", "structure", "gate-shots", "cluster-seed", "simulate-tolerances",
             "inline-solution-branch", "csv-path-type", "cluster--seed", "cluster--branch",
             "branch-not-bits",
-            "cluster-tolerances-bare-graph", "cluster--tol-bare-graph",
+            "cluster-tolerances", "cluster--tol",
             "simulate--tol", "no--config", "solution-without-gains", "detection-without-matrix",
             "solution-report-list-root", "detection-with-pixels", "detection-with-opo-phases",
             "detection-with-modes", "modes-file-with-n", "preset-modes-file-with-domain",
             "optimizer-seed", "optimizer-tol", "pixels-count-with-boundaries",
-            "graph-adjacency-with-edges", "freedom-euler-with-matrix", "cluster-pixels-without-modes",
+            "graph-adjacency-with-edges", "cluster-pixels-without-modes",
             "preset-not-a-name", "opo-phases-not-numbers", "modes-n-not-a-number",
             "adjacency-not-numbers", "modes-not-an-object", "matrix-without-re",
             "re-im-shapes-differ", "graph-without-edges", "no-target", "unknown-named-target",
-            "empty-target", "unknown-gate", "cluster-without-graph", "euler-on-four-vertices",
+            "empty-target", "unknown-gate", "cluster-without-graph",
             "list-root", "modes-n-fraction", "pixels-count-fraction", "modes-n-bool",
             "shots-fraction", "seed-fraction", "modes-file-number", "solution-report-number",
             "optimizer-counts-below-1", "input-squeezing-without-r",
+            "cluster-modes", "cluster-detection", "cluster-opo-phases", "cluster-preset",
+            "enumerate-string", "identity-string",
         ],
     )
     def test_exits_1_with_message(self, tmp_path, monkeypatch, capsys, command, doc, flags):
@@ -629,6 +642,7 @@ class TestUsageErrors:
             ("synthesize", {"preset": "cz2", "optimizer": {"restarts": 1.0}}, "config.optimizer.restarts must be"),
             ("synthesize", {"preset": "cz2", "target": {"graph": {"edges": [], "n": True}}}, "config.target.graph.n"),
             ("simulate", {**IDENTITY_SIMULATION, "csv_path": ["s.csv"]}, "config.csv_path must be a file path"),
+            ("synthesize", {"preset": "lin4", "target": {"identity": "no"}}, "config.target.identity must be true"),
         ],
     )
     def test_typed_leaves_name_their_dotted_key(self, tmp_path, capsys, command, doc, message):

@@ -4,7 +4,6 @@ import pytest
 import refvals as rv
 from mphd import (
     cluster_unitary,
-    euler_orthogonal,
     is_real_orthogonal,
     is_unitary,
     linear_cluster_3,
@@ -232,22 +231,6 @@ class TestValidateCluster:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             validate_cluster(np.eye(3), rv.PATH_4)
-
-
-class TestEulerOrthogonal:
-    def test_identity(self):
-        np.testing.assert_allclose(euler_orthogonal(0, 0, 0), np.eye(3), atol=1e-15)
-
-    def test_single_factor(self):
-        expected = np.array([[0.0, 1, 0], [-1, 0, 0], [0, 0, 1]])
-        np.testing.assert_allclose(euler_orthogonal(np.pi / 2, 0, 0), expected, atol=1e-12)
-
-    def test_random_triples_special_orthogonal(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            o = euler_orthogonal(*rng.uniform(-np.pi, np.pi, 3))
-            assert is_real_orthogonal(o, 1e-12)
-            assert np.linalg.det(o) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGeneratorConstants:

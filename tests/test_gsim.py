@@ -594,11 +594,16 @@ class TestRunGateProgram:
         with pytest.raises(ValidationError, match="cluster squeezing must be >= 0"):
             run_gate_program(fourier_program(), vacuum(1), -1.0)
 
-    @pytest.mark.parametrize("r", [400.0, np.inf, np.nan])
+    @pytest.mark.parametrize("r", [400.0, 354.8, 354.6, np.inf, np.nan])
     @pytest.mark.filterwarnings("error")
     def test_rejects_squeezing_that_overflows_before_exponentiating(self, r):
         with pytest.raises(ValidationError, match="non-finite"):
             run_gate_program(fourier_program(), vacuum(1), r)
+
+    @pytest.mark.filterwarnings("error")
+    def test_passes_just_below_the_squeezing_cap(self):
+        _, check = run_gate_program(fourier_program(), squeezed_input(1, 1.0), 354.0)
+        assert check.passed
 
     def test_rejects_plan_of_another_size(self):
         program = fourier_program()
