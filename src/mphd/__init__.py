@@ -43,7 +43,6 @@ from .gsim import (
     run_gate_program,
     simulate_mphd,
     squeezed_input,
-    symplectic_from_unitary,
     vacuum,
 )
 from .matcore import (
@@ -53,6 +52,7 @@ from .matcore import (
     is_real_orthogonal,
     is_unitary,
     procrustes_best_orthogonal,
+    symplectic_from_unitary,
     wrap_angle,
 )
 from .mbqc import (

@@ -294,7 +294,8 @@ def _resolve_target(config, g):
         u = cluster_mod.cluster_unitary(v).u
         return u, {"graph": {"adjacency": v.tolist()}, **_matrix_echo(u)}, None
     if "gate" not in tdoc:
-        raise ConfigError(f"target needs one of: {', '.join(sorted(_TARGET_FORMS))}")
+        given = "config.target.identity is false; " if "identity" in tdoc else ""
+        raise ConfigError(f"{given}target needs one of: {', '.join(sorted(_TARGET_FORMS))}")
     name, theta_3 = tdoc["gate"].get("name"), float(tdoc["gate"].get("theta_3", 0.0))
     if name == "fourier":
         program = mbqc.fourier_program(theta_3)

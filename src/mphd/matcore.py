@@ -71,6 +71,15 @@ def frobenius_distance(m1, m2) -> float:
     return float(np.linalg.norm(a - b))
 
 
+def symplectic_from_unitary(u) -> np.ndarray:
+    """Symplectic quadrature matrix ``[[X, -Y], [Y, X]]`` of a mode unitary ``U = X + iY``."""
+    arr = as_complex_matrix(u, "u")
+    if not is_unitary(arr, 1e-8):
+        raise ValidationError("mode transformation must be unitary")
+    x, y = arr.real, arr.imag
+    return np.concatenate((np.concatenate((x, -y), 1), np.concatenate((y, x), 1)))
+
+
 def wrap_angle(phi):
     """Wrap angles to the principal interval ``(-pi, pi]``."""
     w = np.mod(np.asarray(phi, dtype=float), 2 * np.pi)

@@ -13,12 +13,13 @@ measured quadrature is plain p-hat (local-oscillator phase 3*pi/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cluster import linear_cluster_3, path_adjacency, validate_cluster
 from .errors import DimensionError, SingularityError, ValidationError
-from .matcore import DiagonalUnitary, as_complex_matrix
+from .matcore import DiagonalUnitary, as_complex_matrix, symplectic_from_unitary
 
 #: Quadrature rotation implemented by the Fourier gate: (q, p) -> (-p, q).
 FOURIER_GATE = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -82,15 +83,9 @@ class MeasurementPlan:
 
     def __post_init__(self):
         angles = np.atleast_1d(np.asarray(self.angles, dtype=float))
-        offsets = (
-            np.zeros_like(angles)
-            if self.offsets is None
-            else np.atleast_1d(np.asarray(self.offsets, dtype=float))
-        )
-        gains = (
-            np.ones_like(angles)
-            if self.gains is None
-            else np.atleast_1d(np.asarray(self.gains, dtype=float))
+        offsets, gains = (
+            np.full_like(angles, fill) if v is None else np.atleast_1d(np.asarray(v, dtype=float))
+            for v, fill in ((self.offsets, 0.0), (self.gains, 1.0))
         )
         if offsets.shape != angles.shape or gains.shape != angles.shape:
             raise DimensionError("angles, offsets and gains must have equal length")
@@ -107,12 +102,19 @@ class MeasurementPlan:
 
 @dataclass(frozen=True)
 class GateProgram:
-    """A compiled single-mode Gaussian gate: plan, expected 2x2 action, unitary."""
+    """A compiled single-mode Gaussian gate: plan, expected 2x2 action, unitary (a read-only copy)."""
 
     plan: MeasurementPlan
     target_gate: np.ndarray
     u_th: np.ndarray
     name: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "u_th", np.array(self.u_th, dtype=complex))
+        self.u_th.flags.writeable = False
+
+    #: symplectic map of ``u_th``, checked for unitarity on first use; a failed check is not cached
+    _symplectic = cached_property(lambda self: symplectic_from_unitary(self.u_th))
 
 
 def build_u_tf(u_lin3, theta_3: float = 0.0) -> np.ndarray:

@@ -166,7 +166,7 @@ def test_criterion_08_mbqc_convergence():
     s = 2.0
     disp = displacement_program(s)
     _, ver = run_gate_program(disp, vacuum(1), 6.0, seed=7)
-    _, k_oracle = joint_conditioning_oracle(disp, vacuum(1), 6.0)
+    _, k_oracle, *_ = joint_conditioning_oracle(disp, vacuum(1), 6.0)
     mean_err = np.abs(ver.offset_displacement - (-k_oracle @ [0.0, 0.0, s])).max()
     ok = rate_ok and mean_err <= 1e-9
     report(

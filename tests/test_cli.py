@@ -601,6 +601,7 @@ class TestUsageErrors:
             ("cluster", {**EDGE, "preset": "cz2"}, []),
             ("synthesize", {"preset": "lin4", "enumerate": "false"}, []),
             ("synthesize", {"preset": "lin4", "target": {"identity": "no"}}, []),
+            ("synthesize", {"preset": "lin4", "target": {"identity": False}}, []),
         ],
         ids=[
             "family", "structure", "gate-shots", "cluster-seed", "simulate-tolerances",
@@ -620,7 +621,7 @@ class TestUsageErrors:
             "shots-fraction", "seed-fraction", "modes-file-number", "solution-report-number",
             "optimizer-counts-below-1", "input-squeezing-without-r",
             "cluster-modes", "cluster-detection", "cluster-opo-phases", "cluster-preset",
-            "enumerate-string", "identity-string",
+            "enumerate-string", "identity-string", "identity-false",
         ],
     )
     def test_exits_1_with_message(self, tmp_path, monkeypatch, capsys, command, doc, flags):
@@ -643,6 +644,7 @@ class TestUsageErrors:
             ("synthesize", {"preset": "cz2", "target": {"graph": {"edges": [], "n": True}}}, "config.target.graph.n"),
             ("simulate", {**IDENTITY_SIMULATION, "csv_path": ["s.csv"]}, "config.csv_path must be a file path"),
             ("synthesize", {"preset": "lin4", "target": {"identity": "no"}}, "config.target.identity must be true"),
+            ("synthesize", {"preset": "lin4", "target": {"identity": False}}, "config.target.identity is false"),
         ],
     )
     def test_typed_leaves_name_their_dotted_key(self, tmp_path, capsys, command, doc, message):

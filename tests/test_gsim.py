@@ -5,6 +5,7 @@ import pytest
 
 import refvals as rv
 from mphd import (
+    FOURIER_GATE,
     DiagonalUnitary,
     GateProgram,
     GaussianState,
@@ -54,32 +55,34 @@ def lin4_solutions():
 def joint_conditioning_oracle(program, input_state, r):
     """Independent all-at-once conditioning of the three measured p-hats.
 
-    Uses one 3x3 block inverse instead of the simulator's sequential scalar
-    Schur complements; returns (transfer_to_output, outcome_gain_matrix).
+    One joint Schur complement of the register before any measurement (the
+    regression of ``bench/checks.check_chain``) instead of the simulator's
+    sequential Householder steps. Returns ``(transfer, k_matrix, cov, mean,
+    w, scale)``: the map from the initial means to the output mean, the
+    outcome gains, the output covariance, the joint mean, the measured rows
+    and the largest entry of the joint covariance.
     """
     n = 4
     mean0 = np.zeros(2 * n)
-    cov0 = np.eye(2 * n)
-    cov0[0, 0] = input_state.cov[0, 0]
-    cov0[0, n] = cov0[n, 0] = input_state.cov[0, 1]
-    cov0[n, n] = input_state.cov[1, 1]
-    for k in range(1, n):
-        cov0[k, k] = np.exp(2 * r)
-        cov0[n + k, n + k] = np.exp(-2 * r)
+    mean0[[0, n]] = input_state.mean
+    cov0 = np.diag(np.exp(2 * r * np.array([0, 1, 1, 1, 0, -1, -1, -1])))
+    cov0[np.ix_([0, n], [0, n])] = input_state.cov
     u = program.u_th
     s = np.block([[u.real, -u.imag], [u.imag, u.real]])
-    cov = s @ cov0 @ s.T
-    w = np.zeros((3, 2 * n))
-    for k in range(3):
-        w[k, n + k] = 1.0  # p-hat of modes in, 1, 2
+    cov, mean = s @ cov0 @ s.T, s @ mean0
+    w = np.eye(2 * n)[n : n + 3]  # p-hat of modes in, 1, 2
     out = [3, n + 3]
-    sigma_mm = w @ cov @ w.T
-    cross = cov[out, :] @ w.T
-    k_matrix = cross @ np.linalg.inv(sigma_mm)
-    selector = np.zeros((2, 2 * n))
-    selector[0, out[0]] = selector[1, out[1]] = 1.0
-    transfer = (selector - k_matrix @ w) @ s
-    return transfer, k_matrix
+    c_mm, c_km = w @ cov @ w.T, cov[out] @ w.T
+    k_matrix = np.linalg.solve(c_mm, c_km.T).T
+    transfer = (np.eye(2 * n)[out] - k_matrix @ w) @ s
+    cond_cov = cov[np.ix_(out, out)] - k_matrix @ c_km.T
+    return transfer, k_matrix, cond_cov, mean, w, np.abs(cov).max()
+
+
+def rectangular_input():
+    """A conditioned mode of a beam-split squeezed pair: a 2 x 3 factor and a nonzero mean."""
+    bs = symplectic_from_unitary(rv.S2 / 2 * np.array([[1, 1j], [1j, 1]]))
+    return homodyne_measure(apply(bs, squeezed_input(2, 1.0)), 1, 0.3, rng_seed=4)[1]
 
 
 class TestSymplecticFromUnitary:
@@ -102,6 +105,13 @@ class TestSymplecticFromUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             symplectic_from_unitary(np.eye(2) * 1.5)
+
+    def test_block_layout(self):
+        u = rv.CLUSTER_4
+        np.testing.assert_array_equal(
+            symplectic_from_unitary(u), np.block([[u.real, -u.imag], [u.imag, u.real]])
+        )
+        np.testing.assert_array_equal(omega(2), [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
 
 
 class TestStates:
@@ -265,6 +275,31 @@ class TestHomodyneMeasure:
     def test_invalid_mode(self):
         with pytest.raises(DimensionError):
             homodyne_measure(vacuum(2), 5, 0.0)
+
+    def test_factor_shapes(self):
+        # a measurement drops the mode's two rows and the pivot column; a noiseless one keeps the columns
+        state = rectangular_input()
+        _, rest = homodyne_measure(apply(symplectic_from_unitary(rv.CLUSTER_4), squeezed_input(4, 1.0)), 2, 0.3)
+        assert rest.factor.shape == (6, 7)
+        noiseless = GaussianState(mean=[0.5, 0.0, 2.0, 0.0], cov=np.diag([1.0, 1.0, 0.0, 1.0]))
+        assert homodyne_measure(noiseless, 0, 0.0)[1].factor.shape == (2, 4)
+        assert homodyne_measure(state, 0, 0.0)[1].factor.shape == (0, 2)
+
+    def test_measured_mode_is_not_conditioned(self):
+        # p' = p + e^{-600} q has std ~e^{-300}, so the gain of q on it is ~e^{600}; the
+        # measured mode's own rows are dropped unconditioned, so nothing overflows
+        state = GaussianState(mean=[0.0, 1e50], cov=np.diag([np.exp(600.0), np.exp(-600.0)]))
+        sheared = apply(np.array([[1.0, 0.0], [np.exp(-600.0), 1.0]]), state)
+        record, rest = homodyne_measure(sheared, 0, 0.0, rng_seed=0)
+        assert record.outcome == pytest.approx(1e50, rel=1e-12)
+        assert rest.factor.shape == (0, 1)
+
+    def test_input_state_is_left_unchanged(self):
+        state = apply(symplectic_from_unitary(rv.CLUSTER_4), squeezed_input(4, 1.0))
+        mean, factor = state.mean.copy(), state.factor.copy()
+        homodyne_measure(state, 1, 0.7, rng_seed=2)
+        np.testing.assert_array_equal(state.mean, mean)
+        np.testing.assert_array_equal(state.factor, factor)
 
 
 class TestNullifierVariances:
@@ -526,7 +561,7 @@ class TestRunGateProgram:
         program = displacement_program(s)
         state = vacuum(1)
         out, ver = run_gate_program(program, state, 6.0, seed=7)
-        _, k_oracle = joint_conditioning_oracle(program, state, 6.0)
+        _, k_oracle, *_ = joint_conditioning_oracle(program, state, 6.0)
         expected = -k_oracle @ np.array([0.0, 0.0, s])
         np.testing.assert_allclose(ver.offset_displacement, expected, atol=1e-9)
         np.testing.assert_allclose(out.mean, expected, atol=1e-9)
@@ -538,7 +573,7 @@ class TestRunGateProgram:
     def test_transfer_matches_joint_oracle(self):
         program = fourier_program()
         state = GaussianState(mean=[0.4, 0.9], cov=np.eye(2))
-        transfer, _ = joint_conditioning_oracle(program, state, 5.0)
+        transfer, *_ = joint_conditioning_oracle(program, state, 5.0)
         out, _ = run_gate_program(program, state, 5.0, seed=5)
         mean0 = np.zeros(8)
         mean0[0], mean0[4] = state.mean
@@ -577,14 +612,66 @@ class TestRunGateProgram:
 
     def test_rectangular_input_factor(self):
         # a conditioned mode keeps a 2 x 3 factor; its output equals that of its refactored covariance
-        bs = symplectic_from_unitary(rv.S2 / 2 * np.array([[1, 1j], [1j, 1]]))
-        _, state = homodyne_measure(apply(bs, squeezed_input(2, 1.0)), 1, 0.3, rng_seed=4)
+        state = rectangular_input()
         assert state.factor.shape == (2, 3)
         out, ver = run_gate_program(fourier_program(), state, 6.0, seed=2)
         ref_out, ref = run_gate_program(fourier_program(), GaussianState(state.mean, state.cov), 6.0, seed=2)
         np.testing.assert_allclose(out.cov, ref_out.cov, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(out.mean, ref_out.mean, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(ver.outcomes, ref.outcomes, rtol=1e-12)
+
+    @pytest.mark.parametrize("r", [0.5, 3.0, 8.0, 12.0])
+    @pytest.mark.parametrize("theta_3", [0.0, 0.4])
+    @pytest.mark.parametrize(
+        "make", [fourier_program, lambda t: displacement_program(1.5, t)], ids=["fourier", "displacement"]
+    )
+    @pytest.mark.parametrize("square", [True, False], ids=["square-factor", "rectangular-factor"])
+    def test_matches_joint_schur_complement(self, make, theta_3, r, square):
+        # the reference's own rounding grows as eps times the joint covariance's largest entry
+        state = rectangular_input()
+        if square:
+            state = GaussianState([0.7, -0.3], np.diag([np.exp(-2.0), np.exp(2.0)]))
+        program = make(theta_3)
+        plan = program.plan
+        out, ver = run_gate_program(program, state, r, seed=3)
+        transfer, k, cov, mean, w, scale = joint_conditioning_oracle(program, state, r)
+        assert np.abs(out.cov - cov).max() <= 1e-14 * scale
+        target = program.target_gate @ state.cov @ program.target_gate.T
+        assert abs(ver.cov_distance - np.linalg.norm(cov - target)) <= 1e-14 * scale
+        np.testing.assert_allclose(ver.input_transfer, transfer[:, [0, 4]], rtol=0, atol=1e-13)
+        offset = -k @ (plan.offsets[:3] / plan.gains[:3])
+        np.testing.assert_allclose(ver.offset_displacement, offset, rtol=0, atol=1e-13)
+        # regression on the raw outcomes, then the feedforward of the recorded ones
+        raw = (ver.outcomes - plan.offsets[:3]) / plan.gains[:3]
+        corrected = mean[[3, 7]] + k @ (raw - w @ mean) - k / plan.gains[:3] @ ver.outcomes
+        assert np.abs(out.mean - corrected).max() <= 1e-13 * (1 + np.abs(raw).max())
+        assert out.factor.shape == (2, state.factor.shape[1] + 3)
+
+    def test_program_map_is_built_once(self):
+        u = fourier_program().u_th.copy()
+        program = GateProgram(MeasurementPlan(angles=[0.0] * 4), FOURIER_GATE, u)
+        u[0, 0] = 5.0
+        assert program.u_th[0, 0] != 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            program.u_th[0, 0] = 5.0
+        run_gate_program(program, vacuum(1), 1.0, seed=0)
+        first = program._symplectic
+        run_gate_program(program, vacuum(1), 2.0, seed=0)
+        assert program._symplectic is first
+        np.testing.assert_array_equal(first, symplectic_from_unitary(program.u_th))
+
+    def test_non_unitary_program_fails_on_every_run(self):
+        program = GateProgram(MeasurementPlan(angles=[0.0] * 4), FOURIER_GATE, 1.5 * np.eye(4))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="must be unitary"):
+                run_gate_program(program, vacuum(1), 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_distance_of_a_huge_input_does_not_overflow(self):
+        # the true covariance distance is e^{600}, whose square overflows float64
+        _, ver = run_gate_program(fourier_program(), squeezed_input(1, 300.0, ["q"]), 1.0, seed=1)
+        assert ver.cov_distance == pytest.approx(np.exp(600.0), rel=1e-9)
+        assert not ver.passed
 
     def test_rejects_multimode_input(self):
         with pytest.raises(DimensionError):
