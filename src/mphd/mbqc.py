@@ -73,9 +73,9 @@ def compose(gates) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementPlan:
-    """Per-mode measurement settings: angles, additive offsets, gains."""
+    """Measurement settings of one or more modes: angles, additive offsets, gains; equal only to itself."""
 
     angles: np.ndarray
     offsets: np.ndarray = None
@@ -87,6 +87,8 @@ class MeasurementPlan:
             np.full_like(angles, fill) if v is None else np.atleast_1d(np.asarray(v, dtype=float))
             for v, fill in ((self.offsets, 0.0), (self.gains, 1.0))
         )
+        if not angles.size:
+            raise DimensionError("a measurement plan needs at least one mode")
         if offsets.shape != angles.shape or gains.shape != angles.shape:
             raise DimensionError("angles, offsets and gains must have equal length")
         if np.any(gains < 1.0 - 1e-12):
@@ -100,9 +102,9 @@ class MeasurementPlan:
         return self.angles.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateProgram:
-    """A compiled single-mode Gaussian gate: plan, expected 2x2 action, unitary (a read-only copy)."""
+    """A compiled single-mode Gaussian gate: plan, 2x2 action, read-only unitary; equal only to itself."""
 
     plan: MeasurementPlan
     target_gate: np.ndarray

@@ -9,8 +9,8 @@ possible exactly iff ``U'^T U'`` is diagonal with unit-modulus entries, where
 and every branch is the principal (half-angle) solution with sign flips.
 The principal branch (its half-angle phases, real gains and orthogonality
 check) is built once per :class:`FeasibilityReport`, on first use, and the
-branches are built as one block. :func:`verify_solution` checks its inputs
-for finite values only when a check fails.
+branches are built as one block, sharing one product ``O . Delta_LO . G`` per
+(report, ``G``, ``U_th``): a real GEMM of ``O`` with ``[Re | Im](Delta_LO . G)``.
 Targets that fail the test can still be approximated in Frobenius distance.
 """
 
@@ -52,7 +52,8 @@ class FeasibilityReport:
     residual is the largest off-diagonal modulus of ``D = U'^T U'`` and the
     modulus residual the largest deviation of ``|d_kk|`` from 1. The
     principal branch's phases and gains are computed once per report, on
-    first use; a ``dataclasses.replace`` copy starts without them.
+    first use, and its detector product once per (``G``, ``U_th``) pair; a
+    ``dataclasses.replace`` copy starts without them.
     """
 
     u_prime: np.ndarray
@@ -142,19 +143,28 @@ def feasibility(u_th, g, tol: float = DEFAULT_TOL) -> FeasibilityReport:
 
 
 def _mphd_unitary(gains, phases, g) -> np.ndarray:
-    """The detector unitary ``O . diag(e^{i phases}) . G``."""
-    return np.dot(gains * np.exp(1j * phases), g)
+    """The detector unitary ``O . diag(e^{i phases}) . G``, as real ``O`` times ``[Re | Im](Delta G)``."""
+    delta_g = np.ascontiguousarray(np.exp(1j * phases)[:, None] * g)
+    return np.dot(gains, delta_g.view(float)).view(complex)
 
 
 def _branches(report: FeasibilityReport, g, u_th, bits: np.ndarray) -> list[SynthesisSolution]:
-    """A branch per 0/1 row ``b``: gain columns times ``1 - 2b``, phases + ``pi b``; one u_mphd."""
+    """A branch per 0/1 row ``b``: gain columns times ``1 - 2b``, phases + ``pi b``; one u_mphd.
+
+    The product and residual stay on the report while ``g`` and ``u_th`` equal its copies.
+    """
     phases, gains = report._principal
-    u_mphd = _mphd_unitary(gains, phases, g)
-    u_mphd.setflags(write=False)
+    cached = report.__dict__.get("_product")
+    if cached is None or not (np.array_equal(cached[0], g) and np.array_equal(cached[1], u_th)):
+        u_mphd = _mphd_unitary(gains, phases, g)
+        u_mphd.setflags(write=False)
+        cached = report.__dict__["_product"] = (
+            np.array(g), np.array(u_th), u_mphd, frobenius_distance(u_mphd, u_th))
+    u_mphd, residual = cached[2:]
     return _frozen_instances(
         SynthesisSolution, len(bits), _diagonal_rows(phases + np.pi * bits),
         gains[None] * (1.0 - 2.0 * bits)[:, None, :], repeat(u_mphd),
-        repeat(frobenius_distance(u_mphd, u_th)), map(tuple, bits.tolist()),
+        repeat(residual), map(tuple, bits.tolist()),
     )
 
 
@@ -202,12 +212,14 @@ def verify_solution(sol: SynthesisSolution, u_th, g, tol: float = 1e-10) -> floa
     Also enforces the stored-product invariant: the recomputed matrix must be
     within ``tol`` of ``sol.u_mphd`` (a NaN fails it). Inputs are checked
     for finite values only when a check fails: a non-finite ``u_th`` or
-    ``g`` raises ``ValidationError``, in that order.
+    ``g`` raises ``ValidationError``, in that order, as do complex gains.
     """
     u = np.asarray(u_th)
     product = _mphd_unitary(sol.gains, sol.delta_lo.phases, g)
     if product.shape != u.shape:
         as_complex_matrix(u_th, "u_th")
+        if np.iscomplexobj(sol.gains):
+            raise ValidationError("gains must be real")
         raise DimensionError(f"shape mismatch: product {product.shape} vs u_th {u.shape}")
     diff = product - sol.u_mphd
     if not (math.sqrt(np.vdot(diff, diff).real) <= tol):

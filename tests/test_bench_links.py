@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import mphd
+from mphd.synth import _mphd_unitary
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -65,3 +66,16 @@ def test_chain_built_as_the_bench_builds_it_passes_its_check(load, monkeypatch):
         rec, current = mphd.homodyne_measure(current, 0, theta, rng_seed=k)
         records.append(rec)
     checks.check_chain(records, current, np.zeros(2 * n), s @ checks.squeezed_cov(n, 1.0) @ s.T, angles)
+
+
+def test_bench_product_matches_the_kernel(load, monkeypatch):
+    # the bench checks compiled detectors with its own O . Delta . G: a drift of the kernel fails here
+    monkeypatch.syspath_prepend(str(BENCH))
+    checks = load("checks")
+    n = 64
+    rng = np.random.default_rng(n)
+    opo = rng.uniform(0.0, 2 * np.pi, n)
+    g = mphd.detection_setup(mphd.flip_mode_basis(n), 0, mphd.PixelPartition.equal(n), opo).g
+    gains = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    phases = rng.uniform(-np.pi, np.pi, n)
+    assert np.abs(checks.mphd_unitary(gains, phases, g) - _mphd_unitary(gains, phases, g)).max() <= 1e-13

@@ -602,6 +602,7 @@ class TestUsageErrors:
             ("synthesize", {"preset": "lin4", "enumerate": "false"}, []),
             ("synthesize", {"preset": "lin4", "target": {"identity": "no"}}, []),
             ("synthesize", {"preset": "lin4", "target": {"identity": False}}, []),
+            ("simulate", {**IDENTITY_SIMULATION, "plan": {"angles": []}}, []),
         ],
         ids=[
             "family", "structure", "gate-shots", "cluster-seed", "simulate-tolerances",
@@ -621,7 +622,7 @@ class TestUsageErrors:
             "shots-fraction", "seed-fraction", "modes-file-number", "solution-report-number",
             "optimizer-counts-below-1", "input-squeezing-without-r",
             "cluster-modes", "cluster-detection", "cluster-opo-phases", "cluster-preset",
-            "enumerate-string", "identity-string", "identity-false",
+            "enumerate-string", "identity-string", "identity-false", "plan-without-modes",
         ],
     )
     def test_exits_1_with_message(self, tmp_path, monkeypatch, capsys, command, doc, flags):
@@ -645,6 +646,7 @@ class TestUsageErrors:
             ("simulate", {**IDENTITY_SIMULATION, "csv_path": ["s.csv"]}, "config.csv_path must be a file path"),
             ("synthesize", {"preset": "lin4", "target": {"identity": "no"}}, "config.target.identity must be true"),
             ("synthesize", {"preset": "lin4", "target": {"identity": False}}, "config.target.identity is false"),
+            ("simulate", {**IDENTITY_SIMULATION, "plan": {"angles": []}}, "a measurement plan needs at least one mode"),
         ],
     )
     def test_typed_leaves_name_their_dotted_key(self, tmp_path, capsys, command, doc, message):

@@ -110,6 +110,17 @@ class TestMeasurementPlan:
         with pytest.raises(ValidationError):
             MeasurementPlan(angles=[0.0], gains=[0.5])
 
+    @pytest.mark.parametrize("angles", [[], np.zeros(0)])
+    def test_no_modes(self, angles):
+        with pytest.raises(DimensionError, match="at least one mode"):
+            MeasurementPlan(angles=angles)
+
+    def test_compared_by_identity(self):
+        first, second = fourier_program(), fourier_program()
+        assert first == first and first.plan == first.plan
+        assert first != second and first.plan != second.plan
+        assert len({first, second, first}) == 2
+
 
 class TestFourierProgram:
     def test_target_gate(self):

@@ -27,7 +27,7 @@ from mphd.errors import (
     InternalConsistencyError,
     ValidationError,
 )
-from mphd.synth import SynthesisSolution
+from mphd.synth import SynthesisSolution, _mphd_unitary
 
 CZ2_TARGET = cluster_unitary(np.array([[0.0, 1.0], [1.0, 0.0]])).u
 CZ2_G = np.eye(2, dtype=complex)
@@ -148,7 +148,7 @@ class TestSolveExact:
 
 
 class TestPrincipalOncePerReport:
-    """The principal branch is built once per feasibility report, whatever asks for it."""
+    """The principal branch and its product are built once per report, whatever asks for them."""
 
     @staticmethod
     def count_principal_builds(monkeypatch):
@@ -161,8 +161,20 @@ class TestPrincipalOncePerReport:
         monkeypatch.setattr("mphd.synth.is_real_orthogonal", counting)
         return calls
 
+    @staticmethod
+    def count_products(monkeypatch):
+        calls = []
+
+        def counting(gains, phases, g):
+            calls.append(len(phases))
+            return _mphd_unitary(gains, phases, g)
+
+        monkeypatch.setattr("mphd.synth._mphd_unitary", counting)
+        return calls
+
     def test_solve_exact_and_enumerate_share_one_build(self, monkeypatch):
         calls = self.count_principal_builds(monkeypatch)
+        products = self.count_products(monkeypatch)
         report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
         singles = [
             solve_exact(report, rv.G_LIN4, rv.CLUSTER_4, bits)
@@ -170,10 +182,13 @@ class TestPrincipalOncePerReport:
         ]
         family = enumerate_solutions(report, rv.G_LIN4, rv.CLUSTER_4)
         assert len(calls) == 1
+        assert products == [4]
         for single, branch in zip(singles, family):
             assert single.branch_id == branch.branch_id
             assert np.array_equal(single.gains, branch.gains)
             assert np.array_equal(single.delta_lo.phases, branch.delta_lo.phases)
+            assert single.u_mphd is branch.u_mphd
+            assert single.residual == branch.residual
 
     def test_solutions_do_not_alias_the_cached_principal(self):
         report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
@@ -187,10 +202,33 @@ class TestPrincipalOncePerReport:
 
     def test_a_replaced_report_builds_its_own(self, monkeypatch):
         calls = self.count_principal_builds(monkeypatch)
+        products = self.count_products(monkeypatch)
         report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
-        solve_exact(report, rv.G_LIN4, rv.CLUSTER_4)
-        solve_exact(dataclasses.replace(report), rv.G_LIN4, rv.CLUSTER_4)
-        assert len(calls) == 2
+        first = solve_exact(report, rv.G_LIN4, rv.CLUSTER_4)
+        other = solve_exact(dataclasses.replace(report), rv.G_LIN4, rv.CLUSTER_4)
+        assert len(calls) == len(products) == 2
+        assert other.u_mphd is not first.u_mphd
+        assert np.array_equal(other.u_mphd, first.u_mphd)
+
+    @pytest.mark.parametrize("mutated", ["g", "u_th"])
+    def test_inputs_changed_in_place_are_recomputed(self, monkeypatch, mutated):
+        calls = self.count_products(monkeypatch)
+        g, u = rv.G_LIN4.copy(), rv.CLUSTER_4.copy()
+        report = feasibility(u, g)
+        first = solve_exact(report, g, u)
+        if mutated == "g":
+            g[:] = g[[1, 0, 2, 3]]
+        else:
+            u[0, 0] += 0.5
+        again = solve_exact(report, g, u, (1, 0, 0, 1))
+        fresh = solve_exact(feasibility(rv.CLUSTER_4, rv.G_LIN4), g, u)
+        assert len(calls) == 3
+        assert np.array_equal(again.u_mphd, fresh.u_mphd)
+        assert again.residual == fresh.residual
+        assert again.residual > first.residual + 0.1
+        # the changed inputs are now the cached ones
+        assert solve_exact(report, g, u).u_mphd is again.u_mphd
+        assert len(calls) == 3
 
     def test_branches_are_frozen_dataclass_instances(self):
         report = feasibility(rv.CLUSTER_4, rv.G_LIN4)
@@ -334,6 +372,32 @@ class TestBranchFamily:
         errs = [np.abs(s.delta_lo.diagonal() - rv.DELTA_LIN4).max() for s in sols]
         assert min(errs) <= 1e-12
         assert sols[int(np.argmin(errs))].branch_id == (1, 0, 0, 1)
+
+
+class TestMphdUnitary:
+    """The detector product ``O . Delta_LO . G`` as one real GEMM."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 64])
+    @pytest.mark.parametrize("layout", ["C", "F", "real", "list"])
+    def test_equals_the_complex_product(self, n, layout):
+        rng = np.random.default_rng(n)
+        gains, phases = rv.random_orthogonal(rng, n), rng.uniform(-np.pi, np.pi, n)
+        g = rv.random_orthogonal(rng, n) if layout == "real" else rv.random_unitary(rng, n)
+        given = {"C": g, "F": np.asfortranarray(g), "real": g, "list": g.tolist()}[layout]
+        expected = (gains * np.exp(1j * phases)) @ g
+        got = _mphd_unitary(gains, phases, given)
+        assert got.shape == (n, n) and got.dtype == complex
+        assert np.abs(got - expected).max() <= 1e-14 * np.sqrt(n)
+
+    def test_verify_accepts_a_fortran_ordered_front_end(self):
+        sol = solve_exact(feasibility(rv.CLUSTER_4, rv.G_LIN4), rv.G_LIN4, rv.CLUSTER_4)
+        assert verify_solution(sol, rv.CLUSTER_4, np.asfortranarray(rv.G_LIN4)) <= 1e-9
+
+    def test_complex_gains_are_a_validation_error(self):
+        sol = solve_exact(feasibility(rv.CLUSTER_4, rv.G_LIN4), rv.G_LIN4, rv.CLUSTER_4)
+        forged = dataclasses.replace(sol, gains=sol.gains.astype(complex))
+        with pytest.raises(ValidationError, match="gains must be real"):
+            verify_solution(forged, rv.CLUSTER_4, rv.G_LIN4)
 
 
 class TestVerifySolution:
