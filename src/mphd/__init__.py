@@ -72,8 +72,6 @@ from .modes import (
     DetectionSetup,
     ModeBasis,
     PixelPartition,
-    build_g,
-    detection_matrix,
     detection_setup,
     flip_mode_basis,
     load_mode_basis,

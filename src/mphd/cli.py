@@ -412,10 +412,9 @@ def cmd_synthesize(config: dict) -> tuple[dict, int]:
             "target_gate": program.target_gate.tolist(),
         }
     if config.get("r") is not None:
-        u_detector = _mphd_unitary(lead.gains, lead.delta_lo.phases, g)
         r, r_in = float(config["r"]), float(config.get("input_squeezing", 1.0))
         output, verification = gsim.run_gate_program(
-            dataclasses.replace(program, u_th=u_detector),
+            dataclasses.replace(program, u_th=lead.u_mphd),
             gsim.squeezed_input(1, r_in, ["q"]),
             r,
             seed=config.get("seed", 0),

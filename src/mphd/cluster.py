@@ -20,6 +20,9 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .matcore import as_complex_matrix, is_real_orthogonal
 
+#: Asymmetry and negative eigenvalue :func:`symmetric_x` forgives in its input.
+_SYMMETRY_TOL = 1e-10
+
 
 def validate_adjacency(v) -> np.ndarray:
     """Coerce and validate a real symmetric zero-diagonal adjacency matrix."""
@@ -89,15 +92,15 @@ def solve_a(v) -> np.ndarray:
     return b @ b.T
 
 
-def symmetric_x(a, tol: float = 1e-10) -> np.ndarray:
-    """Principal symmetric PSD square root via eigendecomposition."""
+def symmetric_x(a) -> np.ndarray:
+    """Principal symmetric PSD square root of ``a``, symmetric and PSD to ``_SYMMETRY_TOL``."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if np.abs(arr - arr.T).max(initial=0.0) > tol:
+    if np.abs(arr - arr.T).max(initial=0.0) > _SYMMETRY_TOL:
         raise ValidationError("matrix must be symmetric")
     eigvals, eigvecs = np.linalg.eigh(arr)
-    if eigvals.min() < -tol:
+    if eigvals.min() < -_SYMMETRY_TOL:
         raise ValidationError(f"matrix is not PSD (min eigenvalue {eigvals.min():.2e})")
     eigvals = np.clip(eigvals, 0.0, None)
     return (eigvecs * np.sqrt(eigvals)[None, :]) @ eigvecs.T

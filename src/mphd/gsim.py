@@ -38,6 +38,16 @@ from .synth import SynthesisSolution
 
 #: Largest squeezing ``r`` whose variance ``e^{2r}`` is a finite float64 (about 354.9).
 _R_MAX = math.log(np.finfo(float).max) / 2
+#: Largest covariance and mean distance at which a gate program's run passes.
+_GATE_TOL = 0.1
+
+
+def _squeezing(r: float, n_modes: int, headroom: float = 0.0) -> np.ndarray:
+    """p-squeezed factor diagonal ``(e^{r}.., e^{-r}..)``; requires 0 <= r <= _R_MAX - headroom."""
+    if not 0.0 <= r <= _R_MAX - headroom:
+        bound = f"[0, {_R_MAX - headroom:.1f}] (negative, or e^{{2r}} non-finite)"
+        raise ValidationError(f"squeezing r = {r} is outside {bound}")
+    return np.exp(np.repeat([float(r), -float(r)], n_modes))
 
 
 def omega(n_modes: int) -> np.ndarray:
@@ -109,18 +119,15 @@ def squeezed_input(n_modes: int, r: float, squeeze_axes=None) -> GaussianState:
     for (q, p), from the diagonal factor ``(e^{r}, e^{-r})``. ``squeeze_axes``
     may list 'q' or 'p' per mode; ``r = 0`` gives vacuum.
     """
-    if r < 0:
-        raise ValidationError(f"squeezing parameter must be >= 0, got {r}")
     axes = ["p"] * n_modes if squeeze_axes is None else list(squeeze_axes)
     if len(axes) != n_modes:
         raise DimensionError(f"{len(axes)} squeeze axes given for {n_modes} modes")
     for axis in axes:
         if axis not in ("q", "p"):
             raise ValidationError(f"squeeze axis must be 'q' or 'p', got {axis!r}")
-    if not r <= _R_MAX:
-        raise ValidationError("state contains non-finite values")
-    log_q = np.array([r if axis == "p" else -r for axis in axes], dtype=float)
-    diag = np.exp(np.concatenate([log_q, -log_q]))
+    squeeze = _squeezing(r, n_modes)
+    # each half of ``squeeze`` is constant: its reverse swaps a mode's q and p entries
+    diag = np.where([axis == "p" for axis in axes] * 2, squeeze, squeeze[::-1])
     return GaussianState._from_factor(np.zeros(2 * n_modes), np.diag(diag))
 
 
@@ -256,17 +263,13 @@ def simulate_mphd(
     """
     if shots < 1:
         raise ValidationError(f"need at least one shot, got {shots}")
-    if r < 0:
-        raise ValidationError(f"squeezing parameter must be >= 0, got {r}")
     g = np.asarray(setup.g, dtype=complex)
     n = g.shape[0]
+    squeeze = _squeezing(r, n)
     if g.shape != (n, n) or sol.delta_lo.dim != n or sol.gains.shape != (n, n):
         raise DimensionError("setup and solution dimensions do not match")
     if plan.n_modes != n:
         raise DimensionError(f"plan covers {plan.n_modes} modes, pipeline has {n}")
-    if not r <= _R_MAX:
-        raise ValidationError(f"covariance is not finite at r = {r}")
-    squeeze = np.exp(np.repeat([float(r), -float(r)], n))
     staged = symplectic_from_unitary(g) * squeeze
     staged = symplectic_from_unitary(sol.delta_lo.matrix()) @ staged
     staged = symplectic_from_unitary(sol.gains.astype(complex)) @ staged
@@ -324,7 +327,6 @@ class GateVerification:
     input_transfer: np.ndarray
     outcomes: np.ndarray
     r: float
-    tol: float
     passed: bool
 
 
@@ -333,7 +335,6 @@ def run_gate_program(
     input_state: GaussianState,
     r: float,
     seed=None,
-    tol: float = 0.1,
 ):
     """Execute a measurement program on (input + cluster) and verify the gate.
 
@@ -351,22 +352,18 @@ def run_gate_program(
         ``output_state`` is the corrected single-mode Gaussian;
         ``verification`` compares it against ``program.target_gate`` applied
         to the input state, flagging ``passed`` when both the covariance and
-        the mean distance are within ``tol``.
+        the mean distance are within ``_GATE_TOL``.
     """
     if input_state.n_modes != 1:
         raise DimensionError("input preparation must be a single-mode state")
-    if r < 0:
-        raise ValidationError(f"cluster squeezing must be >= 0, got {r}")
+    plan, n = program.plan, program.plan.n_modes
     # S has unit-norm rows, so a conditioning step's Householder vector has a
     # squared norm of up to 4 e^{2r}; keep that finite, not only e^{2r}
-    if not r <= _R_MAX - math.log(2):
-        raise ValidationError("state contains non-finite values")
-    plan, n = program.plan, program.plan.n_modes
+    squeeze = _squeezing(r, n, math.log(2))
     s = program._symplectic
     if s.shape != (2 * n, 2 * n):
         raise DimensionError(f"program unitary acts on {s.shape[0] // 2} modes, its plan on {n}")
     inputs = np.column_stack((input_state.mean, np.eye(2), np.zeros((2, n - 1)), input_state.factor))
-    squeeze = np.exp(np.repeat([float(r), -float(r)], n))
     squeeze[::n] = 0.0  # the input's columns 0 and n, dropped at the end; ``inputs`` has its factor
     # the mean, its map from the input mean, one gain per outcome (n + 2 columns), then the factor
     buf = np.hstack((s[:, ::n] @ inputs, s * squeeze))
@@ -399,7 +396,6 @@ def run_gate_program(
         input_transfer=input_transfer,
         outcomes=np.asarray(recorded),
         r=float(r),
-        tol=float(tol),
-        passed=bool(cov_distance <= tol and mean_distance <= tol),
+        passed=bool(cov_distance <= _GATE_TOL and mean_distance <= _GATE_TOL),
     )
     return output, verification

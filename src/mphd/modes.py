@@ -21,10 +21,14 @@ from .errors import (
     SingularPixelError,
     ValidationError,
 )
-from .matcore import DiagonalUnitary, as_complex_matrix
+from .matcore import DiagonalUnitary
 
 DEFAULT_GRID_POINTS = 4096
 DEFAULT_DOMAIN = (0.0, 1.0)
+#: How far a partition's outer boundaries may sit from the domain's ends.
+_COVER_TOL = 1e-9
+#: Largest Gram-matrix deviation from the identity a loaded mode file may have.
+_ORTHONORMAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,10 +70,6 @@ class ModeBasis:
         lo, _ = self.domain
         h = self.cell_width
         return lo + h * (np.arange(self.grid_points) + 0.5)
-
-    def inner(self, j: int, k: int) -> complex:
-        """Quadrature inner product ``<u_j, u_k>``."""
-        return complex(self.cell_width * np.sum(np.conj(self.samples[j]) * self.samples[k]))
 
     def gram(self) -> np.ndarray:
         return self.cell_width * (np.conj(self.samples) @ self.samples.T)
@@ -145,31 +145,19 @@ class PixelPartition:
             raise ValidationError("pixel boundaries must be strictly increasing")
         object.__setattr__(self, "boundaries", b)
 
-    @property
-    def count(self) -> int:
-        return self.boundaries.size - 1
-
     @classmethod
     def equal(cls, count: int, domain: tuple[float, float] = DEFAULT_DOMAIN) -> "PixelPartition":
         if count < 1:
             raise ValidationError(f"need at least one pixel, got {count}")
         return cls(np.linspace(domain[0], domain[1], count + 1))
 
-    def covers(self, domain: tuple[float, float], tol: float = 1e-9) -> bool:
-        return (
-            abs(self.boundaries[0] - domain[0]) <= tol
-            and abs(self.boundaries[-1] - domain[1]) <= tol
-        )
-
 
 def _pixel_masks(basis: ModeBasis, partition: PixelPartition) -> np.ndarray:
-    """Boolean (P, M) membership of grid-cell midpoints in each pixel."""
-    if not partition.covers(basis.domain):
-        raise ValidationError(
-            f"partition {partition.boundaries[[0, -1]]} does not cover domain {basis.domain}"
-        )
-    mids = basis.midpoints()
+    """Boolean (P, M) pixel membership of grid-cell midpoints; the pixels must span the domain."""
     b = partition.boundaries
+    if not np.abs(b[[0, -1]] - basis.domain).max() <= _COVER_TOL:
+        raise ValidationError(f"partition {b[[0, -1]]} does not cover domain {basis.domain}")
+    mids = basis.midpoints()
     masks = (mids[None, :] >= b[:-1, None]) & (mids[None, :] < b[1:, None])
     masks[-1] |= mids >= b[-1]  # right edge belongs to the last pixel
     return masks
@@ -203,31 +191,13 @@ def pixel_modes(basis: ModeBasis, lo_index: int, partition: PixelPartition):
     return modes, kappa
 
 
-def detection_matrix(basis: ModeBasis, lo_index: int, partition: PixelPartition) -> np.ndarray:
-    """Overlap matrix mapping input modes onto pixel modes.
-
-    Entry ``(i, j)`` is ``kappa_i int_{S_i} u_LO^* u_j``, the midpoint-rule
-    overlap of pixel mode ``i`` (see :func:`pixel_modes`) with mode ``j``.
-    Square (P == N) with pixel modes spanning the basis gives a unitary
-    matrix within integration tolerance.
-    """
-    return detection_setup(basis, lo_index, partition).u_t
-
-
-def build_g(u_t, delta_opo: DiagonalUnitary) -> np.ndarray:
-    """Fixed pipeline matrix ``G = U_T . conj(Delta_OPO)``."""
-    u = as_complex_matrix(u_t, "u_t")
-    if u.shape[1] != delta_opo.dim:
-        raise DimensionError(
-            f"u_t has {u.shape[1]} columns but delta_opo has dimension {delta_opo.dim}"
-        )
-    return u * np.conj(delta_opo.diagonal())[None, :]
-
-
 @dataclass(frozen=True)
 class DetectionSetup:
     """The physical front end: detection matrix, input dephasings, and G.
 
+    ``u_t[i, j] = kappa_i int_{S_i} u_LO^* u_j`` is the midpoint-rule overlap of
+    pixel mode ``i`` (see :func:`pixel_modes`) with mode ``j``; square, with pixel
+    modes spanning the basis, it is unitary within integration tolerance.
     Invariant: ``g == u_t . conj(delta_opo)`` by construction.
     """
 
@@ -251,7 +221,8 @@ def detection_setup(
     delta_opo = DiagonalUnitary(np.zeros(basis.n_modes) if opo_phases is None else opo_phases)
     if delta_opo.dim != basis.n_modes:
         raise DimensionError(f"{delta_opo.dim} dephasings given for {basis.n_modes} modes")
-    return DetectionSetup(u_t=u_t, delta_opo=delta_opo, g=build_g(u_t, delta_opo))
+    g = u_t * np.conj(delta_opo.diagonal())[None, :]
+    return DetectionSetup(u_t=u_t, delta_opo=delta_opo, g=g)
 
 
 def save_mode_basis(basis: ModeBasis, path) -> None:
@@ -264,13 +235,13 @@ def save_mode_basis(basis: ModeBasis, path) -> None:
             fh.write(" ".join(repr(kind(v)).strip("()") for v in row) + "\n")
 
 
-def load_mode_basis(path, tol: float = 1e-8) -> ModeBasis:
+def load_mode_basis(path) -> ModeBasis:
     """Read a basis written by :func:`save_mode_basis` (or by hand).
 
     Blank lines and lines starting with ``#`` are skipped. The first row is
     ``domain_min domain_max grid_points``; each of the ``grid_points`` later
     rows holds one sample per mode, read by ``np.loadtxt`` as real (``0.5``)
-    or complex (``0.5+0.1j``). Orthonormality is validated within ``tol``.
+    or complex (``0.5+0.1j``). Orthonormality is checked to ``_ORTHONORMAL_TOL``.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
@@ -292,8 +263,8 @@ def load_mode_basis(path, tol: float = 1e-8) -> ModeBasis:
         samples = samples.real
     basis = ModeBasis(domain=(lo, hi), samples=samples)
     resid = basis.orthonormality_residual()
-    if resid > tol:
+    if resid > _ORTHONORMAL_TOL:
         raise ValidationError(
-            f"modes in {path} are not orthonormal (residual {resid:.2e} > {tol:.2e})"
+            f"modes in {path} are not orthonormal (residual {resid:.2e} > {_ORTHONORMAL_TOL:.2e})"
         )
     return basis

@@ -43,6 +43,9 @@ from .matcore import (
     wrap_angle,
 )
 
+#: Largest Frobenius distance of a stored ``u_mphd`` from its recomputed product.
+_STORED_PRODUCT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -206,13 +209,13 @@ def enumerate_solutions(report: FeasibilityReport, g, u_th) -> list[SynthesisSol
     return _branches(report, g, u_th, bits)
 
 
-def verify_solution(sol: SynthesisSolution, u_th, g, tol: float = 1e-10) -> float:
+def verify_solution(sol: SynthesisSolution, u_th, g) -> float:
     """Recompute ``O Delta_LO G`` from stored parameters; return its distance to ``U_th``.
 
     Also enforces the stored-product invariant: the recomputed matrix must be
-    within ``tol`` of ``sol.u_mphd`` (a NaN fails it). Inputs are checked
-    for finite values only when a check fails: a non-finite ``u_th`` or
-    ``g`` raises ``ValidationError``, in that order, as do complex gains.
+    within ``_STORED_PRODUCT_TOL`` of ``sol.u_mphd`` (a NaN fails it). Inputs
+    are checked for finite values only when a check fails: a non-finite ``u_th``
+    or ``g`` raises ``ValidationError``, in that order, as do complex gains.
     """
     u = np.asarray(u_th)
     product = _mphd_unitary(sol.gains, sol.delta_lo.phases, g)
@@ -222,7 +225,7 @@ def verify_solution(sol: SynthesisSolution, u_th, g, tol: float = 1e-10) -> floa
             raise ValidationError("gains must be real")
         raise DimensionError(f"shape mismatch: product {product.shape} vs u_th {u.shape}")
     diff = product - sol.u_mphd
-    if not (math.sqrt(np.vdot(diff, diff).real) <= tol):
+    if not (math.sqrt(np.vdot(diff, diff).real) <= _STORED_PRODUCT_TOL):
         as_complex_matrix(u_th, "u_th")
         if not np.all(np.isfinite(g)):
             raise ValidationError("g contains non-finite values")

@@ -13,7 +13,7 @@ from mphd import (
     MeasurementPlan,
     PixelPartition,
     apply,
-    detection_matrix,
+    detection_setup,
     displacement_program,
     enumerate_solutions,
     feasibility,
@@ -48,7 +48,7 @@ def report(number: int, description: str, ok: bool):
 
 def test_criterion_01_detection_matrix():
     basis = flip_mode_basis(4)
-    u_t = detection_matrix(basis, 0, PixelPartition.equal(4))
+    u_t = detection_setup(basis, 0, PixelPartition.equal(4)).u_t
     err = np.abs(u_t - rv.DETECTION_4).max()
     report(1, f"integrated detection matrix entrywise error {err:.2e} <= 1e-8", err <= 1e-8)
 

@@ -3,11 +3,8 @@ import pytest
 
 import refvals as rv
 from mphd import (
-    DiagonalUnitary,
     ModeBasis,
     PixelPartition,
-    build_g,
-    detection_matrix,
     detection_setup,
     flip_mode_basis,
     load_mode_basis,
@@ -59,7 +56,7 @@ class TestFlipModeBasis:
         basis = flip_mode_basis(1, grid_points=64)
         assert basis.n_modes == 1
         np.testing.assert_allclose(basis.samples[0], 1.0)
-        assert basis.inner(0, 0) == pytest.approx(1.0)
+        assert basis.gram()[0, 0] == pytest.approx(1.0)
 
     def test_four_mode_sign_patterns(self):
         basis = flip_mode_basis(4)
@@ -126,7 +123,7 @@ class TestModeBasis:
 class TestPixelPartition:
     def test_equal(self):
         part = PixelPartition.equal(4)
-        assert part.count == 4
+        assert part.boundaries.size == 5
         np.testing.assert_allclose(part.boundaries, [0, 0.25, 0.5, 0.75, 1.0])
 
     def test_monotone_required(self):
@@ -187,55 +184,52 @@ class TestPixelModes:
             pixel_modes(basis, 5, PixelPartition.equal(2))
 
 
+def detection_matrix(basis, partition):
+    return detection_setup(basis, 0, partition).u_t
+
+
 class TestDetectionMatrix:
     def test_four_mode_example(self):
-        basis = flip_mode_basis(4)
-        u_t = detection_matrix(basis, 0, PixelPartition.equal(4))
+        u_t = detection_matrix(flip_mode_basis(4), PixelPartition.equal(4))
         np.testing.assert_allclose(u_t, rv.DETECTION_4, atol=1e-8)
 
     def test_trivial_single_mode(self):
-        basis = flip_mode_basis(1, grid_points=64)
-        u_t = detection_matrix(basis, 0, PixelPartition.equal(1))
+        u_t = detection_matrix(flip_mode_basis(1, grid_points=64), PixelPartition.equal(1))
         np.testing.assert_allclose(u_t, [[1.0]], atol=1e-12)
 
     def test_rows_orthonormal(self):
-        basis = flip_mode_basis(4)
-        u_t = detection_matrix(basis, 0, PixelPartition.equal(4))
+        u_t = detection_matrix(flip_mode_basis(4), PixelPartition.equal(4))
         np.testing.assert_allclose(u_t.conj().T @ u_t, np.eye(4), atol=1e-8)
 
     def test_grid_refinement_converges(self):
         part = PixelPartition.equal(4)
-        coarse = detection_matrix(flip_mode_basis(4, 4096), 0, part)
-        fine = detection_matrix(flip_mode_basis(4, 8192), 0, part)
+        coarse = detection_matrix(flip_mode_basis(4, 4096), part)
+        fine = detection_matrix(flip_mode_basis(4, 8192), part)
         assert np.abs(coarse - fine).max() < 1e-8
 
     def test_rectangular(self):
-        basis = flip_mode_basis(4)
-        u_t = detection_matrix(basis, 0, PixelPartition.equal(6))
+        u_t = detection_matrix(flip_mode_basis(4), PixelPartition.equal(6))
         assert u_t.shape == (6, 4)
         # pixel modes resolve the LO fully even with P != N
         np.testing.assert_allclose(np.sum(np.abs(u_t[:, 0]) ** 2), 1.0, atol=1e-10)
 
-
-class TestBuildG:
-    def test_identity_dephasing(self):
-        g = build_g(rv.DETECTION_4, DiagonalUnitary.identity(4))
-        np.testing.assert_allclose(g, rv.DETECTION_4, atol=0)
-
-    def test_linear_cluster_dephasing(self):
-        g = build_g(rv.DETECTION_4, DiagonalUnitary(rv.OPO_LIN4))
-        np.testing.assert_allclose(g, rv.G_LIN4, atol=1e-15)
-
-    def test_gate_dephasing(self):
-        g = build_g(rv.DETECTION_4, DiagonalUnitary(rv.OPO_GATE))
-        np.testing.assert_allclose(g, rv.G_GATE, atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            build_g(rv.DETECTION_4, DiagonalUnitary([0.0, 0.0]))
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+    def test_matches_the_walsh_closed_form(self, n):
+        # equal pixels on 2^k segments: kappa = sqrt(N) and each overlap is a sign over N
+        walsh = sylvester_walsh_oracle(n)
+        u_t = detection_matrix(flip_mode_basis(n), PixelPartition.equal(n))
+        expected = walsh[0][:, None] * walsh.T / np.sqrt(n)
+        np.testing.assert_allclose(u_t, expected, rtol=0, atol=1e-14)
 
 
 class TestDetectionSetup:
+    @pytest.mark.parametrize(
+        "opo, g", [(rv.OPO_LIN4, rv.G_LIN4), (rv.OPO_GATE, rv.G_GATE)], ids=["lin4", "gate"]
+    )
+    def test_published_front_ends(self, opo, g):
+        setup = detection_setup(flip_mode_basis(4), 0, PixelPartition.equal(4), opo)
+        np.testing.assert_allclose(setup.g, g, rtol=0, atol=1e-15)
+
     def test_invariant(self):
         basis = flip_mode_basis(4)
         setup = detection_setup(basis, 0, PixelPartition.equal(4), rv.OPO_LIN4)
