@@ -46,7 +46,6 @@ from . import cluster as cluster_mod
 from . import gsim, mbqc, modes, synth
 from .errors import ConfigError, MPHDError
 from .matcore import DEFAULT_TOL, DiagonalUnitary, as_complex_matrix
-from .presets import _TARGET_FORMS, NAMED_TARGETS, PRESETS
 from .synth import _mphd_unitary
 
 SCHEMA_VERSION = 1
@@ -66,10 +65,10 @@ ALLOWED_KEYS = {
 
 #: Blocks merged key by key and checked against these keys; other values are leaves.
 _NESTED_KEYS = {
-    "modes": {"family", "n", "grid_points", "domain", "lo_index", "file"},
+    "modes": {"n", "grid_points", "domain", "lo_index", "file"},
     "pixels": {"count", "boundaries"},
     "detection": {"matrix"},
-    "target": _TARGET_FORMS,
+    "target": {"matrix", "graph", "gate", "identity"},
     "graph": {"adjacency", "edges", "n"},
     "gate": {"name", "s", "theta_3"},
     "tolerances": {"feasibility"},
@@ -85,7 +84,7 @@ _CHOICES = {
     "modes": ({"file"}, {"n", "grid_points", "domain"}),
     "pixels": ({"count"}, {"boundaries"}),
     "graph": ({"adjacency"}, {"edges", "n"}),
-    "target": tuple({form} for form in sorted(_TARGET_FORMS)),
+    "target": tuple({form} for form in sorted(_NESTED_KEYS["target"])),
 }
 
 #: Leaves that must be JSON integers, booleans or file paths, in any block.
@@ -182,6 +181,35 @@ def feasibility_to_json(fre) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# presets: the worked examples, stating only what differs from a default (the
+# mode count, the OPO dephasings and the target); every other key takes its
+# default where it is read
+
+_FLIP4 = {"modes": {"n": 4}}
+_GATE_OPO = [0.0, 0.0, -np.pi / 2, np.pi / 2]
+
+#: Preset fragments; :func:`merge` lays the user's config over them.
+PRESETS: dict[str, dict] = {
+    "identity": {**_FLIP4, "target": {"identity": True}},
+    "lin4": {
+        **_FLIP4,
+        "opo_phases": [0.0, -np.pi / 2, -np.pi / 2, 0.0],
+        "target": {"matrix": mat_to_json(cluster_mod.linear_cluster_4())},
+    },
+    "fourier": {**_FLIP4, "opo_phases": _GATE_OPO, "target": {"gate": {"name": "fourier"}}},
+    "displacement": {
+        **_FLIP4,
+        "opo_phases": _GATE_OPO,
+        "target": {"gate": {"name": "displacement"}},
+    },
+    "cz2": {
+        "detection": {"matrix": {"re": [[1.0, 0.0], [0.0, 1.0]]}},
+        "target": {"graph": {"adjacency": [[0.0, 1.0], [1.0, 0.0]]}},
+    },
+}
+
+
+# ---------------------------------------------------------------------------
 # config resolution
 
 def _resolve_detection(config):
@@ -205,9 +233,6 @@ def _resolve_detection(config):
             + (f"; {unread} would be ignored" if unread else "")
         )
     mode_cfg = config["modes"]
-    family = mode_cfg.get("family", "flip")
-    if family != "flip":
-        raise ConfigError(f"unknown mode family {family!r}; use 'flip' or a mode 'file'")
     if "file" in mode_cfg:
         basis = modes.load_mode_basis(mode_cfg["file"])
     else:
@@ -280,12 +305,6 @@ def _resolve_target(config, g):
         raise ConfigError("config is missing the 'target' block")
     if tdoc.get("identity"):
         return np.asarray(g, dtype=complex).copy(), {"identity": True}, None
-    if "named" in tdoc:
-        name = tdoc["named"]
-        if name not in NAMED_TARGETS:
-            raise ConfigError(f"unknown named target {name!r}")
-        u = NAMED_TARGETS[name]()
-        return u, {"named": name, **_matrix_echo(u)}, None
     if "matrix" in tdoc:
         u = mat_from_json(tdoc["matrix"], "target.matrix")
         return u, _matrix_echo(u), None
@@ -295,7 +314,7 @@ def _resolve_target(config, g):
         return u, {"graph": {"adjacency": v.tolist()}, **_matrix_echo(u)}, None
     if "gate" not in tdoc:
         given = "config.target.identity is false; " if "identity" in tdoc else ""
-        raise ConfigError(f"{given}target needs one of: {', '.join(sorted(_TARGET_FORMS))}")
+        raise ConfigError(f"{given}target needs one of: {', '.join(sorted(_NESTED_KEYS['target']))}")
     name, theta_3 = tdoc["gate"].get("name"), float(tdoc["gate"].get("theta_3", 0.0))
     if name == "fourier":
         program = mbqc.fourier_program(theta_3)
@@ -340,7 +359,10 @@ def _solution_from_config(config, g) -> synth.SynthesisSolution:
         path, branch = config["solution_report"], config.get("branch")
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
-        sols = report.get("solutions", []) if isinstance(report, dict) else []
+        report = report if isinstance(report, dict) else {}
+        sols = report.get("solutions", [])
+        if not sols and branch is None and isinstance(report.get("approx"), dict):
+            sols = [report["approx"].get("solution", {})]  # an infeasible target's best fit
         matches = [s for s in sols if branch is None or s.get("branch") == branch]
         if not matches:
             wanted = "no solutions" if branch is None else f"no solution with branch {branch!r}"

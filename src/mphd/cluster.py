@@ -23,6 +23,9 @@ from .matcore import as_complex_matrix, is_real_orthogonal
 #: Asymmetry and negative eigenvalue :func:`symmetric_x` forgives in its input.
 _SYMMETRY_TOL = 1e-10
 
+#: Largest residual of the five conditions :func:`validate_cluster` passes.
+_CLUSTER_TOL = 1e-9
+
 
 def validate_adjacency(v) -> np.ndarray:
     """Coerce and validate a real symmetric zero-diagonal adjacency matrix."""
@@ -40,14 +43,14 @@ def validate_adjacency(v) -> np.ndarray:
     return arr
 
 
-def path_adjacency(n: int, weight: float = 1.0) -> np.ndarray:
-    """Adjacency matrix of the n-vertex path graph."""
+def path_adjacency(n: int) -> np.ndarray:
+    """Adjacency matrix of the n-vertex path graph with unit edge weights."""
     if n < 1:
         raise ValidationError(f"need at least one vertex, got {n}")
     v = np.zeros((n, n))
     idx = np.arange(n - 1)
-    v[idx, idx + 1] = weight
-    v[idx + 1, idx] = weight
+    v[idx, idx + 1] = 1.0
+    v[idx + 1, idx] = 1.0
     return v
 
 
@@ -130,8 +133,8 @@ def cluster_unitary(v, freedom=None) -> ClusterSolution:
     return ClusterSolution(a=a, x=x, y=y, u=x + 1j * y, orthogonal_freedom=free, x_s=x_s)
 
 
-def validate_cluster(u, v, tol: float = 1e-9) -> ClusterValidation:
-    """Check the five cluster conditions for ``u`` against graph ``v``."""
+def validate_cluster(u, v) -> ClusterValidation:
+    """Check the five cluster conditions for ``u`` against graph ``v`` to ``_CLUSTER_TOL``."""
     arr = validate_adjacency(v)
     um = as_complex_matrix(u, "u")
     if um.shape != arr.shape:
@@ -146,7 +149,7 @@ def validate_cluster(u, v, tol: float = 1e-9) -> ClusterValidation:
         "unitary": float(np.linalg.norm(um.conj().T @ um - eye)),
     }
     return ClusterValidation(
-        passed=bool(max(residuals.values()) <= tol),
+        passed=bool(max(residuals.values()) <= _CLUSTER_TOL),
         residuals=residuals,
     )
 

@@ -108,7 +108,13 @@ class GaussianState:
         return float(np.linalg.eigvalsh(m).min())
 
 
+def _check_mode_count(n_modes: int) -> None:
+    if n_modes < 0:
+        raise DimensionError(f"mode count must be non-negative, got {n_modes}")
+
+
 def vacuum(n_modes: int) -> GaussianState:
+    _check_mode_count(n_modes)
     return GaussianState._from_factor(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
@@ -119,6 +125,7 @@ def squeezed_input(n_modes: int, r: float, squeeze_axes=None) -> GaussianState:
     for (q, p), from the diagonal factor ``(e^{r}, e^{-r})``. ``squeeze_axes``
     may list 'q' or 'p' per mode; ``r = 0`` gives vacuum.
     """
+    _check_mode_count(n_modes)
     axes = ["p"] * n_modes if squeeze_axes is None else list(squeeze_axes)
     if len(axes) != n_modes:
         raise DimensionError(f"{len(axes)} squeeze axes given for {n_modes} modes")

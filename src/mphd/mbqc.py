@@ -17,9 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cluster import linear_cluster_3, path_adjacency, validate_cluster
+from .cluster import linear_cluster_3
 from .errors import DimensionError, SingularityError, ValidationError
-from .matcore import DiagonalUnitary, as_complex_matrix, symplectic_from_unitary
+from .matcore import DiagonalUnitary, symplectic_from_unitary
 
 #: Quadrature rotation implemented by the Fourier gate: (q, p) -> (-p, q).
 FOURIER_GATE = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -119,25 +119,17 @@ class GateProgram:
     _symplectic = cached_property(lambda self: symplectic_from_unitary(self.u_th))
 
 
-def build_u_tf(u_lin3, theta_3: float = 0.0) -> np.ndarray:
+def build_u_tf(theta_3: float = 0.0) -> np.ndarray:
     """Assemble the four-mode target unitary of the gate circuit.
 
     ``D_meas . (BS^{in,1} ⊕ I) . (1 ⊕ U_lin3)`` with measurement angles
-    (pi/2, pi/2, 0, theta_3). ``u_lin3`` must be a valid three-mode path
-    cluster generator.
+    (pi/2, pi/2, 0, theta_3) and ``U_lin3`` the three-mode path cluster
+    generator :func:`~mphd.cluster.linear_cluster_3`.
     """
-    u3 = as_complex_matrix(u_lin3, "u_lin3")
-    if u3.shape != (3, 3):
-        raise DimensionError(f"expected a 3x3 cluster unitary, got {u3.shape}")
-    check = validate_cluster(u3, path_adjacency(3), tol=1e-8)
-    if not check.passed:
-        raise ValidationError(
-            f"u_lin3 is not a three-mode path cluster generator: {check.residuals}"
-        )
     coupler = np.eye(4, dtype=complex)
     coupler[:2, :2] = BEAM_SPLITTER
     layered = np.eye(4, dtype=complex)
-    layered[1:, 1:] = u3
+    layered[1:, 1:] = linear_cluster_3()
     return DiagonalUnitary(_angles(theta_3)).matrix() @ coupler @ layered
 
 
@@ -151,7 +143,7 @@ def _fourier_circuit(name: str, theta_3: float, offsets=None) -> GateProgram:
     return GateProgram(
         plan=plan,
         target_gate=np.array([[c, -s], [s, c]]) @ FOURIER_GATE,
-        u_th=build_u_tf(linear_cluster_3(), theta_3),
+        u_th=build_u_tf(theta_3),
         name=name,
     )
 

@@ -48,7 +48,7 @@ PUBLIC_SIGNATURES = {
     ),
     "SynthesisSolution": ("delta_lo", "gains", "u_mphd", "residual", "branch_id"),
     "apply": ("s", "state"),
-    "build_u_tf": ("u_lin3", "theta_3"),
+    "build_u_tf": ("theta_3",),
     "cluster_unitary": ("v", "freedom"),
     "compose": ("gates",),
     "detection_setup": ("basis", "lo_index", "partition", "opo_phases"),
@@ -69,7 +69,7 @@ PUBLIC_SIGNATURES = {
     "m_tele": ("theta_in", "theta_1"),
     "nullifier_variances": ("state", "v"),
     "omega": ("n_modes",),
-    "path_adjacency": ("n", "weight"),
+    "path_adjacency": ("n",),
     "pixel_modes": ("basis", "lo_index", "partition"),
     "procrustes_best_orthogonal": ("b",),
     "quadrature_for_shear": ("s",),
@@ -83,7 +83,7 @@ PUBLIC_SIGNATURES = {
     "symmetric_x": ("a",),
     "symplectic_from_unitary": ("u",),
     "vacuum": ("n_modes",),
-    "validate_cluster": ("u", "v", "tol"),
+    "validate_cluster": ("u", "v"),
     "verify_solution": ("sol", "u_th", "g"),
     "wrap_angle": ("phi",),
 }

@@ -1,5 +1,7 @@
 import json
 import logging
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,16 @@ import pytest
 
 import mphd
 import refvals as rv
-from mphd.cli import _CHOICES, _NESTED_KEYS, ALLOWED_KEYS, feasibility_to_json, mat_from_json, merge, run
-from mphd.presets import PRESETS
+from mphd.cli import (
+    _CHOICES,
+    _NESTED_KEYS,
+    ALLOWED_KEYS,
+    PRESETS,
+    feasibility_to_json,
+    mat_from_json,
+    merge,
+    run,
+)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -92,7 +102,7 @@ class TestSynthesize:
 
     def test_graph_target_feasibility_block(self, tmp_path):
         doc = {
-            "modes": {"family": "flip", "n": 4},
+            "modes": {"n": 4},
             "pixels": {"count": 4},
             "opo_phases": list(rv.OPO_LIN4),
             "target": PATH4,
@@ -131,7 +141,7 @@ class TestSynthesize:
         assert code == 0  # a permutation is real orthogonal: feasible
 
     def test_preset_target_can_be_replaced(self, tmp_path):
-        # a user-supplied target form displaces the preset's named target
+        # a user-supplied target form displaces the preset's matrix target
         doc = {"preset": "lin4", "target": {"identity": True}}
         code, report = run_command(tmp_path, "synthesize", doc)
         assert code == 0
@@ -141,7 +151,7 @@ class TestSynthesize:
     def test_preset_detection_can_be_replaced(self, tmp_path):
         doc = {
             "preset": "cz2",
-            "modes": {"family": "flip", "n": 2, "grid_points": 256},
+            "modes": {"n": 2, "grid_points": 256},
             "pixels": {"count": 2},
         }
         code, report = run_command(tmp_path, "synthesize", doc)
@@ -166,7 +176,7 @@ class TestSynthesize:
             "modes": {"file": str(basis_path)},
             "pixels": {"count": 4},
             "opo_phases": list(rv.OPO_LIN4),
-            "target": {"named": "lin4"},
+            "target": PRESETS["lin4"]["target"],
         }
         code, report = run_command(tmp_path, "synthesize", doc)
         assert code == 0
@@ -486,6 +496,18 @@ class TestSimulate:
         assert code == 0
         assert report["solution"]["residual"] <= 1e-9
 
+    def test_infeasible_report_feeds_its_approximate_solution(self, tmp_path):
+        code, synthesized = run_command(
+            tmp_path, "synthesize", {"preset": "cz2", "seed": 3}, name="synth.json", out="synth_rep.json"
+        )
+        assert (code, synthesized["solutions"]) == (2, [])
+        doc = {"preset": "cz2", "solution_report": str(tmp_path / "synth_rep.json"), "shots": 3}
+        code, report = run_command(tmp_path, "simulate", doc)
+        assert code == 0
+        assert report["solution"] == synthesized["approx"]["solution"]
+        code, report = run_command(tmp_path, "simulate", {**doc, "branch": "00"}, out="branch.json")
+        assert (code, report) == (1, None)
+
     def test_simulate_requires_solution(self, tmp_path):
         code, _ = run_command(tmp_path, "simulate", {"preset": "lin4"})
         assert code == 1
@@ -672,6 +694,10 @@ class TestUsageErrors:
 
 
 class TestSchemaTables:
+    def test_lin4_preset_states_the_four_mode_cluster(self):
+        u = mat_from_json(PRESETS["lin4"]["target"]["matrix"])
+        assert u.tobytes() == mphd.linear_cluster_4().tobytes()  # signed zeros included
+
     def test_choice_and_nested_keys_are_allowed_in_their_block(self):
         top = set().union(*ALLOWED_KEYS.values())
         inner = set().union(*_NESTED_KEYS.values())
@@ -717,3 +743,23 @@ class TestHarness:
         rep_a.pop("timing")
         rep_b.pop("timing")
         assert rep_a == rep_b
+
+
+class TestReadme:
+    def test_command_line_examples_exit_as_stated(self, tmp_path, monkeypatch, capsys):
+        # every echo/mphd pair of the README's "Command line" section, then its sim.json feed-back
+        monkeypatch.chdir(tmp_path)
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text[text.index("## Command line") :].split("\n## ")[0]
+        codes = []
+        for lang, body in re.findall(r"```(\w*)\n(.*?)```", section, re.S):
+            if lang == "json":
+                (tmp_path / "sim.json").write_text(body)
+            for line in body.splitlines() if lang == "bash" else []:
+                line = line.partition("#")[0].partition(";")[0].strip()
+                if echo := re.fullmatch(r"echo '(.*)' > (\S+)", line):
+                    (tmp_path / echo[2]).write_text(echo[1])
+                elif line.startswith("mphd "):
+                    codes.append(run(shlex.split(line)[1:]))
+        assert codes == [0, 0, 0, 2, 0], capsys.readouterr().err
+        assert (tmp_path / "sim_report.json").exists() and (tmp_path / "samples.csv").exists()

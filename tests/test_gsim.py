@@ -143,6 +143,14 @@ class TestStates:
         assert state.uncertainty_residual() >= -1e-9
 
     @pytest.mark.parametrize(
+        "make", [vacuum, lambda n: squeezed_input(n, 1.0)], ids=["vacuum", "squeezed"]
+    )
+    def test_negative_mode_count_is_named(self, make):
+        with pytest.raises(DimensionError, match="mode count must be non-negative, got -1"):
+            make(-1)
+        assert make(0).n_modes == 0
+
+    @pytest.mark.parametrize(
         "n, r, axes, error, message",
         [
             (2, 1.0, ["q"], DimensionError, "1 squeeze axes given for 2 modes"),
