@@ -6,11 +6,11 @@ A ``preset`` is merged under the user's config by :func:`merge`: user keys
 win, a block listed in ``_CHOICES`` takes one of its alternatives (the one
 the user picks displaces the preset's other ones, and two alternatives from
 the user are a usage error), and the preset's keys the command does not read
-are dropped. Integer leaves (``_INT_KEYS``) must be JSON integers, boolean
-leaves (``_BOOL_KEYS``) JSON booleans and path leaves (``_PATH_KEYS``)
-strings. ``optimizer`` takes only ``max_iters`` and
-``restarts``, each at least 1; its seed is ``seed`` and its tolerance
-``tolerances.feasibility``.
+are dropped. Integer leaves (``_INT_KEYS``) must be JSON integers, real
+leaves (``_REAL_KEYS``) JSON numbers, boolean leaves (``_BOOL_KEYS``) JSON
+booleans and path leaves (``_PATH_KEYS``) strings. ``optimizer`` takes only
+``max_iters`` and ``restarts``, each at least 1; its seed is ``seed`` and its
+tolerance ``tolerances.feasibility``.
 The schema also gives each command its flags: ``--seed``, ``--branch`` and
 ``--tol`` exist only where the command reads ``seed``, ``branch`` and
 ``tolerances`` (``synthesize`` and ``gate`` take all three, ``simulate``
@@ -46,7 +46,6 @@ from . import cluster as cluster_mod
 from . import gsim, mbqc, modes, synth
 from .errors import ConfigError, MPHDError
 from .matcore import DEFAULT_TOL, DiagonalUnitary, as_complex_matrix
-from .synth import _mphd_unitary
 
 SCHEMA_VERSION = 1
 
@@ -87,8 +86,9 @@ _CHOICES = {
     "target": tuple({form} for form in sorted(_NESTED_KEYS["target"])),
 }
 
-#: Leaves that must be JSON integers, booleans or file paths, in any block.
+#: Leaves that must be JSON integers, numbers, booleans or file paths, in any block.
 _INT_KEYS = {"n", "grid_points", "lo_index", "count", "seed", "shots", "max_iters", "restarts"}
+_REAL_KEYS = {"r", "input_squeezing", "theta_3", "s", "feasibility"}
 _BOOL_KEYS = {"enumerate", "identity"}
 _PATH_KEYS = {"file", "solution_report", "csv_path"}
 
@@ -107,8 +107,9 @@ def merge(base: dict, user: dict, allowed: set, block: str | None = None) -> dic
     ``_CHOICES`` entry; the alternative the user picks displaces the base's
     other ones, and base keys outside ``allowed`` are dropped. Blocks named in
     ``_NESTED_KEYS`` merge recursively; any other user value replaces the
-    base's whole, and must be an integer under a ``_INT_KEYS`` name, a
-    boolean under a ``_BOOL_KEYS`` one and a string under a ``_PATH_KEYS`` one.
+    base's whole, and must be an integer under a ``_INT_KEYS`` name, a number
+    under a ``_REAL_KEYS`` one, a boolean under a ``_BOOL_KEYS`` one and a
+    string under a ``_PATH_KEYS`` one.
     """
     where = f"config.{block}" if block else "config"
     if not isinstance(user, dict):
@@ -131,6 +132,8 @@ def merge(base: dict, user: dict, allowed: set, block: str | None = None) -> dic
             value = merge(sub, value, _NESTED_KEYS[key], name)
         elif key in _INT_KEYS and type(value) is not int:
             raise ConfigError(f"config.{name} must be an integer, got {value!r}")
+        elif key in _REAL_KEYS and type(value) not in (int, float):
+            raise ConfigError(f"config.{name} must be a number, got {value!r}")
         elif key in _BOOL_KEYS and type(value) is not bool:
             raise ConfigError(f"config.{name} must be true or false, got {value!r}")
         elif key in _PATH_KEYS and not isinstance(value, str):
@@ -350,7 +353,7 @@ def _solution_to_json(sol: synth.SynthesisSolution) -> dict:
     return doc
 
 
-def _solution_from_config(config, g) -> synth.SynthesisSolution:
+def _solution_from_config(config) -> synth.SynthesisSolution:
     if "solution" in config:
         if {"solution_report", "branch"} & set(config):
             raise ConfigError("an inline 'solution' takes no 'solution_report' or 'branch'")
@@ -360,10 +363,17 @@ def _solution_from_config(config, g) -> synth.SynthesisSolution:
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
         report = report if isinstance(report, dict) else {}
-        sols = report.get("solutions", [])
+        listed = report.get("solutions", [])
+        if not isinstance(listed, list):
+            raise ConfigError(f"report {path}: solutions must be a JSON list, got {listed!r}")
+        sols = {f"solutions[{i}]": s for i, s in enumerate(listed)}
         if not sols and branch is None and isinstance(report.get("approx"), dict):
-            sols = [report["approx"].get("solution", {})]  # an infeasible target's best fit
-        matches = [s for s in sols if branch is None or s.get("branch") == branch]
+            # an infeasible target's best fit
+            sols = {"approx.solution": report["approx"].get("solution", {})}
+        for name, sol in sols.items():
+            if not isinstance(sol, dict):
+                raise ConfigError(f"report {path}: {name} must be a JSON object, got {sol!r}")
+        matches = [s for s in sols.values() if branch is None or s.get("branch") == branch]
         if not matches:
             wanted = "no solutions" if branch is None else f"no solution with branch {branch!r}"
             raise ConfigError(f"report {path} holds {wanted}")
@@ -372,11 +382,10 @@ def _solution_from_config(config, g) -> synth.SynthesisSolution:
         raise ConfigError("simulate needs 'solution' (inline) or 'solution_report'")
     if missing := {"phases", "gains"} - set(doc):
         raise ConfigError(f"solution is missing {sorted(missing)}")
-    delta = DiagonalUnitary(doc["phases"])
-    gains = np.asarray(doc["gains"], dtype=float)
-    u_mphd = _mphd_unitary(gains, delta.phases, g)
     return synth.SynthesisSolution(
-        delta_lo=delta, gains=gains, u_mphd=u_mphd, residual=float("nan"), branch_id=None
+        delta_lo=DiagonalUnitary(doc["phases"]),
+        gains=np.asarray(doc["gains"], dtype=float),
+        residual=float("nan"),
     )
 
 
@@ -433,10 +442,10 @@ def cmd_synthesize(config: dict) -> tuple[dict, int]:
             **_plan_to_json(program.plan),
             "target_gate": program.target_gate.tolist(),
         }
-    if config.get("r") is not None:
+    if "r" in config:
         r, r_in = float(config["r"]), float(config.get("input_squeezing", 1.0))
         output, verification = gsim.run_gate_program(
-            dataclasses.replace(program, u_th=lead.u_mphd),
+            dataclasses.replace(program, u_th=lead.unitary(g)),
             gsim.squeezed_input(1, r_in, ["q"]),
             r,
             seed=config.get("seed", 0),
@@ -480,7 +489,7 @@ def cmd_cluster(config: dict) -> tuple[dict, int]:
 def cmd_gate(config: dict) -> tuple[dict, int]:
     if "gate" not in config.get("target", {}):
         raise ConfigError("gate command needs target.gate (fourier | displacement)")
-    if config.get("r") is None and "input_squeezing" in config:
+    if "r" not in config and "input_squeezing" in config:
         raise ConfigError("config.input_squeezing is read only with 'r'")
     return cmd_synthesize(config)
 
@@ -488,7 +497,7 @@ def cmd_gate(config: dict) -> tuple[dict, int]:
 def cmd_simulate(config: dict) -> tuple[dict, int]:
     setup, det_echo = _resolve_detection(config)
     csv_path = config.get("csv_path")
-    sol = _solution_from_config(config, setup.g)
+    sol = _solution_from_config(config)
     n = setup.g.shape[0]
     pdoc = config.get("plan", {})
     plan = mbqc.MeasurementPlan(

@@ -243,7 +243,6 @@ class SimulationResult:
     staged_cov: np.ndarray
     direct_cov: np.ndarray
     staged_vs_direct_residual: float
-    seed: int | None = None
 
     @property
     def shots(self) -> int:
@@ -280,7 +279,7 @@ def simulate_mphd(
     staged = symplectic_from_unitary(g) * squeeze
     staged = symplectic_from_unitary(sol.delta_lo.matrix()) @ staged
     staged = symplectic_from_unitary(sol.gains.astype(complex)) @ staged
-    direct = symplectic_from_unitary(sol.u_mphd) * squeeze
+    direct = symplectic_from_unitary(sol.unitary(g)) * squeeze
     staged_cov, direct_cov = staged @ staged.T, direct @ direct.T
     residual = float(np.abs(staged_cov - direct_cov).max())
     if not np.isfinite(residual):
@@ -302,7 +301,6 @@ def simulate_mphd(
         staged_cov=staged_cov,
         direct_cov=direct_cov,
         staged_vs_direct_residual=residual,
-        seed=seed,
     )
 
 
@@ -333,7 +331,6 @@ class GateVerification:
     offset_displacement: np.ndarray
     input_transfer: np.ndarray
     outcomes: np.ndarray
-    r: float
     passed: bool
 
 
@@ -402,7 +399,6 @@ def run_gate_program(
         offset_displacement=offset_displacement,
         input_transfer=input_transfer,
         outcomes=np.asarray(recorded),
-        r=float(r),
         passed=bool(cov_distance <= _GATE_TOL and mean_distance <= _GATE_TOL),
     )
     return output, verification

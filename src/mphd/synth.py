@@ -9,8 +9,9 @@ possible exactly iff ``U'^T U'`` is diagonal with unit-modulus entries, where
 and every branch is the principal (half-angle) solution with sign flips.
 The principal branch (its half-angle phases, real gains and orthogonality
 check) is built once per :class:`FeasibilityReport`, on first use, and the
-branches are built as one block, sharing one product ``O . Delta_LO . G`` per
-(report, ``G``, ``U_th``): a real GEMM of ``O`` with ``[Re | Im](Delta_LO . G)``.
+branches are built as one block, sharing one residual per (report, ``G``,
+``U_th``). A solution holds only its parameters; ``sol.unitary(g)`` forms
+``O . Delta_LO . G`` as a real GEMM of ``O`` with ``[Re | Im](Delta_LO . G)``.
 Targets that fail the test can still be approximated in Frobenius distance.
 """
 
@@ -43,9 +44,6 @@ from .matcore import (
     wrap_angle,
 )
 
-#: Largest Frobenius distance of a stored ``u_mphd`` from its recomputed product.
-_STORED_PRODUCT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -55,7 +53,7 @@ class FeasibilityReport:
     residual is the largest off-diagonal modulus of ``D = U'^T U'`` and the
     modulus residual the largest deviation of ``|d_kk|`` from 1. The
     principal branch's phases and gains are computed once per report, on
-    first use, and its detector product once per (``G``, ``U_th``) pair; a
+    first use, and its residual once per (``G``, ``U_th``) pair; a
     ``dataclasses.replace`` copy starts without them.
     """
 
@@ -98,9 +96,12 @@ class SynthesisSolution:
 
     delta_lo: DiagonalUnitary
     gains: np.ndarray
-    u_mphd: np.ndarray
     residual: float
     branch_id: tuple[int, ...] | None = None
+
+    def unitary(self, g) -> np.ndarray:
+        """The detector unitary ``O . Delta_LO . G`` over the front end ``g``."""
+        return _mphd_unitary(self.gains, self.delta_lo.phases, g)
 
 
 @dataclass(frozen=True)
@@ -152,22 +153,18 @@ def _mphd_unitary(gains, phases, g) -> np.ndarray:
 
 
 def _branches(report: FeasibilityReport, g, u_th, bits: np.ndarray) -> list[SynthesisSolution]:
-    """A branch per 0/1 row ``b``: gain columns times ``1 - 2b``, phases + ``pi b``; one u_mphd.
+    """A branch per 0/1 row ``b``: gain columns times ``1 - 2b``, phases + ``pi b``; one residual.
 
-    The product and residual stay on the report while ``g`` and ``u_th`` equal its copies.
+    The residual stays on the report while ``g`` and ``u_th`` equal its copies.
     """
     phases, gains = report._principal
-    cached = report.__dict__.get("_product")
+    cached = report.__dict__.get("_residual")
     if cached is None or not (np.array_equal(cached[0], g) and np.array_equal(cached[1], u_th)):
-        u_mphd = _mphd_unitary(gains, phases, g)
-        u_mphd.setflags(write=False)
-        cached = report.__dict__["_product"] = (
-            np.array(g), np.array(u_th), u_mphd, frobenius_distance(u_mphd, u_th))
-    u_mphd, residual = cached[2:]
+        residual = frobenius_distance(_mphd_unitary(gains, phases, g), u_th)
+        cached = report.__dict__["_residual"] = (np.array(g), np.array(u_th), residual)
     return _frozen_instances(
         SynthesisSolution, len(bits), _diagonal_rows(phases + np.pi * bits),
-        gains[None] * (1.0 - 2.0 * bits)[:, None, :], repeat(u_mphd),
-        repeat(residual), map(tuple, bits.tolist()),
+        gains[None] * (1.0 - 2.0 * bits)[:, None, :], repeat(cached[2]), map(tuple, bits.tolist()),
     )
 
 
@@ -178,7 +175,7 @@ def solve_exact(
 
     ``branch`` is a bit-vector over principal-root sign flips (default: the
     principal branch, all zeros); every entry must be exactly 0 or 1.
-    Requires ``report.feasible``. The returned ``u_mphd`` is read-only.
+    Requires ``report.feasible``.
     """
     if not report.feasible:
         raise FeasibilityError(
@@ -197,9 +194,9 @@ def enumerate_solutions(report: FeasibilityReport, g, u_th) -> list[SynthesisSol
     """All ``2**N`` exact solutions, ordered by branch bits as binary counting.
 
     Every branch is the principal solution with sign flips, so all share its
-    orthogonality check, residual and read-only ``u_mphd``; gains and phases
-    are rows of one block each. At most 16 modes (about 2.9 KB of resident
-    memory per solution, 0.18 GB in all).
+    orthogonality check and residual; gains and phases are rows of one block
+    each. At most 16 modes (about 2.9 KB of resident memory per solution,
+    0.18 GB in all).
     """
     if not report.feasible:
         raise FeasibilityError("cannot enumerate solutions of an infeasible problem")
@@ -210,32 +207,28 @@ def enumerate_solutions(report: FeasibilityReport, g, u_th) -> list[SynthesisSol
 
 
 def verify_solution(sol: SynthesisSolution, u_th, g) -> float:
-    """Recompute ``O Delta_LO G`` from stored parameters; return its distance to ``U_th``.
+    """Return the Frobenius distance of ``sol.unitary(g)`` to ``U_th``.
 
-    Also enforces the stored-product invariant: the recomputed matrix must be
-    within ``_STORED_PRODUCT_TOL`` of ``sol.u_mphd`` (a NaN fails it). Inputs
-    are checked for finite values only when a check fails: a non-finite ``u_th``
-    or ``g`` raises ``ValidationError``, in that order, as do complex gains.
+    Inputs are checked only when a check fails. A non-finite distance raises
+    ``ValidationError`` naming a non-finite ``u_th``, ``g`` or gains, in that
+    order, and otherwise the overflow; complex gains raise it too.
     """
     u = np.asarray(u_th)
-    product = _mphd_unitary(sol.gains, sol.delta_lo.phases, g)
+    product = sol.unitary(g)
     if product.shape != u.shape:
         as_complex_matrix(u_th, "u_th")
         if np.iscomplexobj(sol.gains):
             raise ValidationError("gains must be real")
         raise DimensionError(f"shape mismatch: product {product.shape} vs u_th {u.shape}")
-    diff = product - sol.u_mphd
-    if not (math.sqrt(np.vdot(diff, diff).real) <= _STORED_PRODUCT_TOL):
-        as_complex_matrix(u_th, "u_th")
-        if not np.all(np.isfinite(g)):
-            raise ValidationError("g contains non-finite values")
-        raise InternalConsistencyError(
-            "stored u_mphd differs from the recomputed product beyond tolerance"
-        )
     diff = product - u
     distance = math.sqrt(np.vdot(diff, diff).real)
     if not math.isfinite(distance):
         as_complex_matrix(u_th, "u_th")
+        if not np.all(np.isfinite(g)):
+            raise ValidationError("g contains non-finite values")
+        if not np.all(np.isfinite(sol.gains)):
+            raise ValidationError("gains contain non-finite values")
+        raise ValidationError("the distance of the product to u_th overflows float64")
     return distance
 
 
@@ -320,12 +313,10 @@ def solve_approx(
         if best[0] < 1e-12:
             break
     f_val, phases, gains, trace, converged = best
-    u_mphd = _mphd_unitary(gains, phases, gm)
     solution = SynthesisSolution(
         delta_lo=DiagonalUnitary(phases),
         gains=gains,
-        u_mphd=u_mphd,
-        residual=frobenius_distance(u_mphd, u),
+        residual=frobenius_distance(_mphd_unitary(gains, phases, gm), u),
     )
     return ApproxResult(
         solution=solution,

@@ -35,7 +35,7 @@ PUBLIC_SIGNATURES = {
     "GateProgram": ("plan", "target_gate", "u_th", "name"),
     "GateVerification": (
         "cov_distance", "mean_distance", "offset_displacement", "input_transfer",
-        "outcomes", "r", "passed"
+        "outcomes", "passed"
     ),
     "GaussianState": ("mean", "cov"),
     "HomodyneRecord": ("mode", "angle", "outcome"),
@@ -44,9 +44,9 @@ PUBLIC_SIGNATURES = {
     "PixelPartition": ("boundaries",),
     "SimulationResult": (
         "outcomes", "angles", "sample_mean", "sample_cov", "analytic_mean", "analytic_cov",
-        "staged_cov", "direct_cov", "staged_vs_direct_residual", "seed"
+        "staged_cov", "direct_cov", "staged_vs_direct_residual"
     ),
-    "SynthesisSolution": ("delta_lo", "gains", "u_mphd", "residual", "branch_id"),
+    "SynthesisSolution": ("delta_lo", "gains", "residual", "branch_id"),
     "apply": ("s", "state"),
     "build_u_tf": ("theta_3",),
     "cluster_unitary": ("v", "freedom"),

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import mphd
-from mphd.synth import _mphd_unitary
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -69,7 +68,7 @@ def test_chain_built_as_the_bench_builds_it_passes_its_check(load, monkeypatch):
 
 
 def test_bench_product_matches_the_kernel(load, monkeypatch):
-    # the bench checks compiled detectors with its own O . Delta . G: a drift of the kernel fails here
+    # the bench checks compiled detectors with its own O . Delta . G: a drift of the method fails here
     monkeypatch.syspath_prepend(str(BENCH))
     checks = load("checks")
     n = 64
@@ -78,4 +77,5 @@ def test_bench_product_matches_the_kernel(load, monkeypatch):
     g = mphd.detection_setup(mphd.flip_mode_basis(n), 0, mphd.PixelPartition.equal(n), opo).g
     gains = np.linalg.qr(rng.normal(size=(n, n)))[0]
     phases = rng.uniform(-np.pi, np.pi, n)
-    assert np.abs(checks.mphd_unitary(gains, phases, g) - _mphd_unitary(gains, phases, g)).max() <= 1e-13
+    sol = mphd.SynthesisSolution(mphd.DiagonalUnitary(phases), gains, residual=0.0)
+    assert np.abs(checks.mphd_unitary(gains, phases, g) - sol.unitary(g)).max() <= 1e-13

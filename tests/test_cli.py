@@ -378,8 +378,9 @@ class TestGate:
         assert four["config"]["target"]["matrix"] == disp["config"]["target"]["matrix"]
         assert four["solutions"] == disp["solutions"]
 
-    def test_fourier_with_verification(self, tmp_path):
-        doc = {"preset": "fourier", "r": 6.0, "seed": 2}
+    @pytest.mark.parametrize("r", [6.0, 6])  # a JSON integer is a number
+    def test_fourier_with_verification(self, tmp_path, r):
+        doc = {"preset": "fourier", "r": r, "seed": 2}
         code, report = run_command(tmp_path, "gate", doc)
         assert code == 0
         ver = report["verification"]
@@ -507,6 +508,23 @@ class TestSimulate:
         assert report["solution"] == synthesized["approx"]["solution"]
         code, report = run_command(tmp_path, "simulate", {**doc, "branch": "00"}, out="branch.json")
         assert (code, report) == (1, None)
+
+    @pytest.mark.parametrize(
+        "synthesized, branch, message",
+        [
+            ({"solutions": [1]}, "0000", "solutions[0] must be a JSON object"),
+            ({"solutions": [{"branch": "0000"}, 1]}, None, "solutions[1] must be a JSON object"),
+            ({"solutions": [], "approx": {"solution": [1]}}, None, "approx.solution must be a JSON object"),
+            ({"solutions": 5}, None, "solutions must be a JSON list"),
+        ],
+        ids=["with-branch", "without-branch", "approx", "not-a-list"],
+    )
+    def test_malformed_report_entries_are_named(self, tmp_path, capsys, synthesized, branch, message):
+        (tmp_path / "synth_rep.json").write_text(json.dumps(synthesized))
+        doc = {"preset": "identity", "solution_report": str(tmp_path / "synth_rep.json"), "shots": 2}
+        code, report = run_command(tmp_path, "simulate", {**doc, "branch": branch} if branch else doc)
+        assert (code, report) == (1, None)
+        assert message in capsys.readouterr().err
 
     def test_simulate_requires_solution(self, tmp_path):
         code, _ = run_command(tmp_path, "simulate", {"preset": "lin4"})
@@ -669,6 +687,13 @@ class TestUsageErrors:
             ("synthesize", {"preset": "lin4", "target": {"identity": "no"}}, "config.target.identity must be true"),
             ("synthesize", {"preset": "lin4", "target": {"identity": False}}, "config.target.identity is false"),
             ("simulate", {**IDENTITY_SIMULATION, "plan": {"angles": []}}, "a measurement plan needs at least one mode"),
+            ("gate", {"preset": "fourier", "r": True}, "config.r must be a number"),
+            ("gate", {"preset": "fourier", "r": "6"}, "config.r must be a number"),
+            ("gate", {"preset": "fourier", "r": 6, "input_squeezing": "1"}, "config.input_squeezing must be"),
+            ("gate", {"preset": "fourier", "target": {"gate": {"theta_3": False}}}, "config.target.gate.theta_3"),
+            ("gate", {"preset": "displacement", "target": {"gate": {"s": "1.5"}}}, "config.target.gate.s must"),
+            ("synthesize", {"preset": "lin4", "tolerances": {"feasibility": "1e-9"}}, "config.tolerances.feasibility"),
+            ("simulate", {**IDENTITY_SIMULATION, "r": None}, "config.r must be a number"),
         ],
     )
     def test_typed_leaves_name_their_dotted_key(self, tmp_path, capsys, command, doc, message):
@@ -746,10 +771,19 @@ class TestHarness:
 
 
 class TestReadme:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_library_quick_start_prints_what_its_comments_state(self, capsys):
+        (block,) = re.findall(r"```python\n(.*?)```", self.README.read_text(), re.S)
+        exec(block, {})
+        residual, cov_distance = map(float, capsys.readouterr().out.split())
+        assert residual < 1e-13
+        assert cov_distance == pytest.approx(106 * np.exp(-2 * 6.0), rel=0.01)
+
     def test_command_line_examples_exit_as_stated(self, tmp_path, monkeypatch, capsys):
         # every echo/mphd pair of the README's "Command line" section, then its sim.json feed-back
         monkeypatch.chdir(tmp_path)
-        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = self.README.read_text()
         section = text[text.index("## Command line") :].split("\n## ")[0]
         codes = []
         for lang, body in re.findall(r"```(\w*)\n(.*?)```", section, re.S):
