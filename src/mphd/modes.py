@@ -46,6 +46,8 @@ class ModeBasis:
     def __post_init__(self):
         samples = np.atleast_2d(np.asarray(self.samples))
         lo, hi = float(self.domain[0]), float(self.domain[1])
+        if not np.isfinite([lo, hi]).all():
+            raise ValidationError(f"domain [{lo}, {hi}] is not finite")
         if hi <= lo:
             raise ValidationError(f"empty domain [{lo}, {hi}]")
         if not np.isfinite(samples).all():
@@ -247,12 +249,14 @@ def load_mode_basis(path) -> ModeBasis:
         lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
     if not lines:
         raise ValidationError("basis file has no header row")
-    header, rows = lines[0].split(), lines[1:]
-    if len(header) != 3:
+    rows = lines[1:]
+    try:
+        lo, hi, m = lines[0].split()
+        lo, hi, m = float(lo), float(hi), int(m)
+    except ValueError:
         raise ValidationError(
             f"header must be 'domain_min domain_max grid_points', got {lines[0]!r}"
-        )
-    lo, hi, m = float(header[0]), float(header[1]), int(header[2])
+        ) from None
     if m < 1 or len(rows) != m:
         raise ValidationError(f"header promises {m} grid rows, file has {len(rows)}")
     try:
@@ -263,7 +267,7 @@ def load_mode_basis(path) -> ModeBasis:
         samples = samples.real
     basis = ModeBasis(domain=(lo, hi), samples=samples)
     resid = basis.orthonormality_residual()
-    if resid > _ORTHONORMAL_TOL:
+    if not resid <= _ORTHONORMAL_TOL:
         raise ValidationError(
             f"modes in {path} are not orthonormal (residual {resid:.2e} > {_ORTHONORMAL_TOL:.2e})"
         )

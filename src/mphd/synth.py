@@ -114,23 +114,31 @@ class ApproxResult:
     converged: bool = False
 
 
-def feasibility(u_th, g, tol: float = DEFAULT_TOL) -> FeasibilityReport:
-    """Test whether ``U_th`` is exactly realizable over the fixed ``G``.
-
-    Both inputs must be square unitary matrices of the same size (validated
-    within ``tol``). Returns the full report; no exception is raised for an
-    infeasible target.
-    """
+def _unitary_pair(u_th, g, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``u_th`` and ``g`` as complex arrays: square, one non-empty shape, unitary within ``tol``."""
     u = as_complex_matrix(u_th, "u_th")
     gm = as_complex_matrix(g, "g")
     if u.shape[0] != u.shape[1] or gm.shape[0] != gm.shape[1]:
         raise DimensionError("u_th and g must be square")
     if u.shape != gm.shape:
         raise DimensionError(f"shape mismatch: u_th {u.shape} vs g {gm.shape}")
+    if not u.size:
+        raise DimensionError("u_th is empty: a target needs at least one mode")
     if not is_unitary(gm, tol):
         raise ValidationError("g is not unitary within tolerance")
     if not is_unitary(u, tol):
         raise ValidationError("u_th is not unitary within tolerance")
+    return u, gm
+
+
+def feasibility(u_th, g, tol: float = DEFAULT_TOL) -> FeasibilityReport:
+    """Test whether ``U_th`` is exactly realizable over the fixed ``G``.
+
+    Both inputs must be non-empty square unitary matrices of one size (validated
+    within ``tol``). Returns the full report; no exception is raised for an
+    infeasible target.
+    """
+    u, gm = _unitary_pair(u_th, g, tol)
     u_prime = u @ gm.conj().T
     d = u_prime.T @ u_prime
     off = d - np.diag(np.diag(d))
@@ -232,6 +240,10 @@ def verify_solution(sol: SynthesisSolution, u_th, g) -> float:
     return distance
 
 
+#: Objective below which an approximate run (and the restart loop) counts as exact.
+_EXACT_FLOOR = 1e-12
+
+
 def _objective(gains, phases, g, u_th) -> float:
     return float(np.linalg.norm(_mphd_unitary(gains, phases, g) - u_th))
 
@@ -255,17 +267,18 @@ def solve_approx(
     it does not raise the objective. When an iteration gains more than half
     of what the one before it gained, its phase move is extrapolated (with
     the gains re-solved) and doubled for as long as the objective falls.
+    A run ends when an iteration gains less than 1e-13 or its objective
+    falls below the exactness floor 1e-12, which also ends the restarts.
     Restarts draw independent random phase vectors from a generator seeded
     with ``seed``; the best run is returned with its monotone objective
-    trace. ``converged`` is False when that run was still improving at
-    ``max_iters``; ``restarts`` and ``max_iters`` must be at least 1.
+    trace, and its last objective is the solution's ``residual``.
+    ``converged`` is False when that run was still improving at
+    ``max_iters``; ``restarts`` and ``max_iters`` must be at least 1 and
+    ``tol`` positive.
     """
-    u = as_complex_matrix(u_th, "u_th")
-    gm = as_complex_matrix(g, "g")
-    if u.shape != gm.shape or u.shape[0] != u.shape[1]:
-        raise DimensionError("u_th and g must be square matrices of equal size")
-    if not is_unitary(u, max(tol, 1e-8)) or not is_unitary(gm, max(tol, 1e-8)):
-        raise ValidationError("approximate synthesis expects unitary u_th and g")
+    if tol <= 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
+    u, gm = _unitary_pair(u_th, g, max(tol, 1e-8))
     if restarts < 1 or max_iters < 1:
         raise ValidationError(f"need restarts >= 1 and max_iters >= 1, got {restarts}, {max_iters}")
     n = u.shape[0]
@@ -306,18 +319,15 @@ def solve_approx(
                     step = 2.0 * step
             gained = f_prev - f_val
             trace.append(f_val)
-            if gained < 1e-13:
+            converged = gained < 1e-13 or f_val < _EXACT_FLOOR
+            if converged:
                 break
         if best is None or f_val < best[0]:
-            best = (f_val, phases, gains, trace, gained < 1e-13)
-        if best[0] < 1e-12:
+            best = (f_val, phases, gains, trace, converged)
+        if best[0] < _EXACT_FLOOR:
             break
     f_val, phases, gains, trace, converged = best
-    solution = SynthesisSolution(
-        delta_lo=DiagonalUnitary(phases),
-        gains=gains,
-        residual=frobenius_distance(_mphd_unitary(gains, phases, gm), u),
-    )
+    solution = SynthesisSolution(delta_lo=DiagonalUnitary(phases), gains=gains, residual=f_val)
     return ApproxResult(
         solution=solution,
         objective_trace=trace,

@@ -114,6 +114,11 @@ class TestModeBasis:
         with pytest.raises(ValidationError, match="empty domain"):
             ModeBasis(domain=(1.0, 0.0), samples=np.ones((1, 4)))
 
+    @pytest.mark.parametrize("domain", [(0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan)])
+    def test_non_finite_domain(self, domain):
+        with pytest.raises(ValidationError, match="not finite"):
+            ModeBasis(domain=domain, samples=np.ones((1, 4)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples(self, bad):
         with pytest.raises(ValidationError, match="non-finite"):
@@ -278,10 +283,17 @@ class TestBasisFile:
         with pytest.raises(ValidationError, match="no header row"):
             load_mode_basis(path)
 
-    def test_rejects_bad_header(self, tmp_path):
+    @pytest.mark.parametrize("header", ["only two", "a b c", "0.0 1.0 2.5", "0.0 1.0 2 3"])
+    def test_rejects_bad_header(self, tmp_path, header):
         path = tmp_path / "bad.txt"
-        path.write_text("only two\n")
-        with pytest.raises(ValidationError):
+        path.write_text(header + "\n1.0\n-1.0\n")
+        with pytest.raises(ValidationError, match="'domain_min domain_max grid_points', got"):
+            load_mode_basis(path)
+
+    def test_rejects_nan_domain(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 nan 2\n1.0\n-1.0\n")
+        with pytest.raises(ValidationError, match="not finite"):
             load_mode_basis(path)
 
     def test_rejects_row_count_mismatch(self, tmp_path):

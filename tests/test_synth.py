@@ -15,6 +15,7 @@ from mphd import (
     fourier_program,
     linear_cluster_4,
     is_real_orthogonal,
+    procrustes_best_orthogonal,
     solve_approx,
     solve_exact,
     verify_solution,
@@ -91,6 +92,11 @@ class TestFeasibility:
     def test_non_square(self):
         with pytest.raises(DimensionError, match="must be square"):
             feasibility(np.ones((2, 3)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("solver", [feasibility, solve_approx])
+    def test_empty_target(self, solver):
+        with pytest.raises(DimensionError, match="u_th is empty"):
+            solver(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 class TestSolveExact:
@@ -541,7 +547,7 @@ class TestSolveApprox:
         trace = np.asarray(result.objective_trace)
         assert len(trace) == result.iterations >= 1
         assert np.all(np.diff(trace) <= 0.0)
-        assert abs(trace[-1] - sol.residual) <= tol
+        assert trace[-1] == sol.residual
         assert abs(distance(phases) - sol.residual) <= tol
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
@@ -562,13 +568,31 @@ class TestSolveApprox:
         assert result.converged
         self.assert_fixed_point(result, u, g)
 
-    def test_planted_n24(self):
+    def test_planted_n24(self, monkeypatch):
+        """A feasible target stops at the exactness floor after one iteration."""
         rng = np.random.default_rng(24)
         g = rv.random_unitary(rng, 24)
         phases = rng.uniform(0, 2 * np.pi, 24)
         u_th = (rv.random_orthogonal(rng, 24) * np.exp(1j * phases)[None, :]) @ g
+        products = TestPrincipalOncePerReport.count_products(monkeypatch)
+        svds = []
+
+        def counting(b):
+            svds.append(b.shape)
+            return procrustes_best_orthogonal(b)
+
+        monkeypatch.setattr("mphd.synth.procrustes_best_orthogonal", counting)
         result = solve_approx(u_th, g, seed=5)
-        assert result.solution.residual <= 1e-6
+        assert (result.iterations, len(svds), len(products)) == (1, 1, 2)
+        assert result.converged
+        sol = result.solution
+        assert sol.residual <= 1e-12
+        assert sol.residual == result.objective_trace[-1] == np.linalg.norm(sol.unitary(g) - u_th)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_non_positive_tol_rejected(self, tol):
+        with pytest.raises(ValidationError, match="tol must be positive"):
+            solve_approx(CZ2_TARGET, CZ2_G, tol=tol)
 
 
 class TestGateProgramTieIn:
