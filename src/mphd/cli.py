@@ -19,11 +19,14 @@ its config value. ``cluster`` reads only ``graph`` and ``freedom.matrix`` and
 reports the graph's algebra; ``synthesize`` on a ``target.graph`` is the one
 route from a graph to a detector. ``gate`` is ``synthesize`` on a gate target,
 whose report carries the compiled ``program``, plus one run of that program
-on the synthesized detector when ``r`` is given. Reports are JSON with every
-matrix carried at full precision next to a 2-decimal display block, and
-``_write_report`` stamps each with ``schema_version``, ``command`` and
-``timing``. ``simulate`` writes a CSV of its samples only when the config
-names a ``csv_path``. Exit codes:
+on the synthesized detector when ``r`` is given. Report builders put arrays
+in the report as they are; ``_write_report`` encodes them with
+:func:`mat_to_json` (complex arrays as ``{"re", "im"}``, real arrays as
+nested lists) and stamps each report with ``schema_version``, ``command``
+and ``timing``. The detector ``u_t`` and ``g``, the target, the feasibility
+``D``, each solution's ``Delta_LO`` and gains and the cluster's ``A``, ``X_s``
+and ``U`` also carry a 2-decimal display block. ``simulate`` writes a CSV of
+its samples only when the config names a ``csv_path``. Exit codes:
 0 success, 2 infeasible target in ``synthesize`` or ``gate`` (with the best
 approximate result still reported), 1 usage or validation error; ``cluster``
 and ``simulate`` never exit 2.
@@ -145,9 +148,13 @@ def merge(base: dict, user: dict, allowed: set, block: str | None = None) -> dic
 # ---------------------------------------------------------------------------
 # matrix (de)serialization
 
-def mat_to_json(m) -> dict:
-    arr = np.asarray(m, dtype=complex)
-    return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
+def mat_to_json(obj):
+    """The report encoder, ``json``'s ``default``: arrays and numpy scalars to JSON values."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if not isinstance(obj, np.ndarray):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return {"re": obj.real.tolist(), "im": obj.imag.tolist()} if np.iscomplexobj(obj) else obj.tolist()
 
 
 def mat_from_json(doc, context: str = "matrix") -> np.ndarray:
@@ -169,18 +176,7 @@ def mat_display(m) -> list:
 
 
 def _matrix_echo(m) -> dict:
-    return {"matrix": mat_to_json(m), "display": mat_display(m)}
-
-
-def feasibility_to_json(fre) -> dict:
-    return {
-        "feasible": fre.feasible,
-        "offdiag_residual": fre.offdiag_residual,
-        "modulus_residual": fre.modulus_residual,
-        "tol": fre.tol,
-        "d_candidate": mat_to_json(fre.d_candidate),
-        "d_display": mat_display(fre.d_candidate),
-    }
+    return {"matrix": m, "display": mat_display(m)}
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +235,13 @@ def _resolve_detection(config):
     if "file" in mode_cfg:
         basis = modes.load_mode_basis(mode_cfg["file"])
     else:
+        domain = mode_cfg.get("domain", list(modes.DEFAULT_DOMAIN))
+        if not (
+            isinstance(domain, list) and len(domain) == 2 and all(type(x) in (int, float) for x in domain)
+        ):
+            raise ConfigError(f"config.modes.domain must be a list of two numbers, got {domain!r}")
         basis = modes.flip_mode_basis(
-            mode_cfg.get("n", 4),
-            mode_cfg.get("grid_points", modes.DEFAULT_GRID_POINTS),
-            tuple(mode_cfg.get("domain", modes.DEFAULT_DOMAIN)),
+            mode_cfg.get("n", 4), mode_cfg.get("grid_points", modes.DEFAULT_GRID_POINTS), tuple(domain)
         )
     lo_index = mode_cfg.get("lo_index", 0)
     pixel_cfg = config.get("pixels", {})
@@ -259,14 +258,14 @@ def _resolve_detection(config):
             "family": "file" if "file" in mode_cfg else "flip",
             "n": basis.n_modes,
             "grid_points": basis.grid_points,
-            "domain": list(basis.domain),
+            "domain": basis.domain,
             "lo_index": lo_index,
         },
-        "pixels": {"boundaries": partition.boundaries.tolist()},
-        "opo_phases": setup.delta_opo.phases.tolist(),
-        "u_t": mat_to_json(setup.u_t),
+        "pixels": {"boundaries": partition.boundaries},
+        "opo_phases": setup.delta_opo.phases,
+        "u_t": setup.u_t.astype(complex),  # {"re", "im"} for a real basis too
         "u_t_display": mat_display(setup.u_t),
-        "g": mat_to_json(setup.g),
+        "g": setup.g,
         "g_display": mat_display(setup.g),
     }
     return setup, echo
@@ -314,7 +313,7 @@ def _resolve_target(config, g):
     if "graph" in tdoc:
         v = _graph_adjacency(tdoc["graph"])
         u = cluster_mod.cluster_unitary(v).u
-        return u, {"graph": {"adjacency": v.tolist()}, **_matrix_echo(u)}, None
+        return u, {"graph": {"adjacency": v}, **_matrix_echo(u)}, None
     if "gate" not in tdoc:
         given = "config.target.identity is false; " if "identity" in tdoc else ""
         raise ConfigError(f"{given}target needs one of: {', '.join(sorted(_NESTED_KEYS['target']))}")
@@ -325,25 +324,16 @@ def _resolve_target(config, g):
         program = mbqc.displacement_program(float(tdoc["gate"].get("s", 0.0)), theta_3)
     else:
         raise ConfigError(f"unknown gate name {name!r}; available: fourier, displacement")
-    plan = _plan_to_json(program.plan)
-    echo = {"name": name, "angles": plan["angles"], "offsets": plan["offsets"]}
+    echo = {"name": name, "angles": program.plan.angles, "offsets": program.plan.offsets}
     return program.u_th, {"gate": echo, **_matrix_echo(program.u_th)}, program
-
-
-def _plan_to_json(plan: mbqc.MeasurementPlan) -> dict:
-    return {
-        "angles": plan.angles.tolist(),
-        "offsets": plan.offsets.tolist(),
-        "gains": plan.gains.tolist(),
-    }
 
 
 def _solution_to_json(sol: synth.SynthesisSolution) -> dict:
     doc = {
-        "phases": sol.delta_lo.phases.tolist(),
-        "delta_diag": mat_to_json(sol.delta_lo.diagonal()[None, :]),
+        "phases": sol.delta_lo.phases,
+        "delta_diag": sol.delta_lo.diagonal()[None, :],
         "delta_display": mat_display(sol.delta_lo.diagonal())[0],
-        "gains": sol.gains.tolist(),
+        "gains": sol.gains,
         "gains_display": mat_display(sol.gains),
     }
     if np.isfinite(sol.residual):
@@ -412,7 +402,14 @@ def cmd_synthesize(config: dict) -> tuple[dict, int]:
     u_th, target_echo, program = _resolve_target(config, g)
     report: dict = {"config": {**det_echo, "target": target_echo, "tolerance": tol}}
     fre = synth.feasibility(u_th, g, tol)
-    report["feasibility"] = feasibility_to_json(fre)
+    report["feasibility"] = {
+        "feasible": fre.feasible,
+        "offdiag_residual": fre.offdiag_residual,
+        "modulus_residual": fre.modulus_residual,
+        "tol": fre.tol,
+        "d_candidate": fre.d_candidate,
+        "d_display": mat_display(fre.d_candidate),
+    }
     if fre.feasible:
         if config.get("branch") is not None:
             bits = _parse_branch(config["branch"], fre.dim)
@@ -439,8 +436,8 @@ def cmd_synthesize(config: dict) -> tuple[dict, int]:
     if program is not None:
         report["program"] = {
             "name": program.name,
-            **_plan_to_json(program.plan),
-            "target_gate": program.target_gate.tolist(),
+            **dataclasses.asdict(program.plan),
+            "target_gate": program.target_gate,
         }
     if "r" in config:
         r, r_in = float(config["r"]), float(config.get("input_squeezing", 1.0))
@@ -453,14 +450,9 @@ def cmd_synthesize(config: dict) -> tuple[dict, int]:
         report["verification"] = {
             "r": r,
             "input_squeezing": r_in,
-            "cov_distance": verification.cov_distance,
-            "mean_distance": verification.mean_distance,
-            "offset_displacement": verification.offset_displacement.tolist(),
-            "input_transfer": verification.input_transfer.tolist(),
-            "outcomes": verification.outcomes.tolist(),
-            "passed": verification.passed,
-            "output_mean": output.mean.tolist(),
-            "output_cov": output.cov.tolist(),
+            **dataclasses.asdict(verification),
+            "output_mean": output.mean,
+            "output_cov": output.cov,
         }
     return report, code
 
@@ -473,15 +465,15 @@ def cmd_cluster(config: dict) -> tuple[dict, int]:
     solution = cluster_mod.cluster_unitary(v, config.get("freedom", {}).get("matrix"))
     validation = cluster_mod.validate_cluster(solution.u, v)
     report = {
-        "config": {"graph": {"adjacency": v.tolist()}},
-        "a": solution.a.tolist(),
+        "config": {"graph": {"adjacency": v}},
+        "a": solution.a,
         "a_display": mat_display(solution.a),
-        "x_s": solution.x_s.tolist(),
+        "x_s": solution.x_s,
         "x_s_display": mat_display(solution.x_s),
-        "freedom": solution.orthogonal_freedom.tolist(),
-        "u": mat_to_json(solution.u),
+        "freedom": solution.orthogonal_freedom,
+        "u": solution.u,
         "u_display": mat_display(solution.u),
-        "validation": {"passed": validation.passed, "residuals": validation.residuals},
+        "validation": dataclasses.asdict(validation),
     }
     return report, 0
 
@@ -514,17 +506,17 @@ def cmd_simulate(config: dict) -> tuple[dict, int]:
     report: dict = {
         "config": {
             **det_echo,
-            "plan": _plan_to_json(plan),
+            "plan": dataclasses.asdict(plan),
             "r": r,
             "shots": shots,
             "seed": seed,
         },
         "solution": _solution_to_json(sol),
         "csv_path": csv_path,
-        "sample_mean": result.sample_mean.tolist(),
-        "sample_cov": result.sample_cov.tolist(),
-        "analytic_mean": result.analytic_mean.tolist(),
-        "analytic_cov": result.analytic_cov.tolist(),
+        "sample_mean": result.sample_mean,
+        "sample_cov": result.sample_cov,
+        "analytic_mean": result.analytic_mean,
+        "analytic_cov": result.analytic_cov,
         "staged_vs_direct_residual": result.staged_vs_direct_residual,
     }
     if "target" in config:
@@ -544,7 +536,7 @@ COMMANDS = {
 
 def _write_report(report: dict, command: str, out_path, elapsed: float) -> None:
     report.update(schema_version=SCHEMA_VERSION, command=command, timing={"seconds": elapsed})
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, default=mat_to_json)
     if out_path is None or out_path == "-":
         sys.stdout.write(text + "\n")
     else:

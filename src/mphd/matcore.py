@@ -41,8 +41,8 @@ def _require_square(m: np.ndarray, name: str) -> np.ndarray:
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     """Check ``||M^dag M - I||_F <= tol`` for a square matrix."""
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     arr = _require_square(as_complex_matrix(m, "matrix"), "matrix")
     n = arr.shape[0]
     return bool(np.linalg.norm(arr.conj().T @ arr - np.eye(n)) <= tol)

@@ -74,7 +74,9 @@ class ModeBasis:
         return lo + h * (np.arange(self.grid_points) + 0.5)
 
     def gram(self) -> np.ndarray:
-        return self.cell_width * (np.conj(self.samples) @ self.samples.T)
+        # huge samples overflow to an inf/nan residual, which the orthonormality check names
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.cell_width * (np.conj(self.samples) @ self.samples.T)
 
     def orthonormality_residual(self) -> float:
         return float(np.abs(self.gram() - np.eye(self.n_modes)).max())
@@ -121,6 +123,8 @@ def flip_mode_basis(
             f"(need >= {64 * n_modes})"
         )
     lo, hi = float(domain[0]), float(domain[1])
+    if not np.isfinite(hi - lo):
+        raise ValidationError(f"domain [{lo}, {hi}] has no finite width")
     if hi <= lo:
         raise ValidationError(f"empty domain [{lo}, {hi}]")
     patterns = _sequency_walsh_patterns(n_modes)

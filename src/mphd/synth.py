@@ -274,10 +274,10 @@ def solve_approx(
     trace, and its last objective is the solution's ``residual``.
     ``converged`` is False when that run was still improving at
     ``max_iters``; ``restarts`` and ``max_iters`` must be at least 1 and
-    ``tol`` positive.
+    ``tol`` positive and finite.
     """
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     u, gm = _unitary_pair(u_th, g, max(tol, 1e-8))
     if restarts < 1 or max_iters < 1:
         raise ValidationError(f"need restarts >= 1 and max_iters >= 1, got {restarts}, {max_iters}")

@@ -7,6 +7,7 @@ library, numpy and each other, so they load here by file path; nothing under
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import mphd
+from mphd.cli import run
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -25,6 +27,7 @@ def load(monkeypatch):
     def load(name):
         spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
         module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
         spec.loader.exec_module(module)
         return module
 
@@ -79,3 +82,29 @@ def test_bench_product_matches_the_kernel(load, monkeypatch):
     phases = rng.uniform(-np.pi, np.pi, n)
     sol = mphd.SynthesisSolution(mphd.DiagonalUnitary(phases), gains, residual=0.0)
     assert np.abs(checks.mphd_unitary(gains, phases, g) - sol.unitary(g)).max() <= 1e-13
+
+
+def test_cli_reports_pass_the_bench_report_checks(load, monkeypatch, tmp_path):
+    # the bench's cli workload reads these report fields: a format change fails here, not only there
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = load("workloads")
+
+    def report(name, command, config, code=0):
+        config_path, out = tmp_path / f"{name}.config.json", tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps(config))
+        assert run([command, "--config", str(config_path), "--out", str(out)]) == code
+        return json.loads(out.read_text())
+
+    synthesized = {}
+    for preset in ("lin4", "fourier", "cz2"):
+        doc = synthesized[preset] = report(preset, "synthesize", {"preset": preset, "seed": 3}, 2 * (preset == "cz2"))
+        workloads.check_synthesize_report(doc, preset)
+    v = np.array([[0.0, 0.4, 0.0, 0.9], [0.4, 0.0, 0.7, 0.0], [0.0, 0.7, 0.0, 0.3], [0.9, 0.0, 0.3, 0.0]])
+    workloads.check_cluster_report(report("cluster", "cluster", {"graph": {"adjacency": v.tolist()}}), v)
+    gate = {"preset": "displacement", "r": 6.0, "seed": 5, "target": {"gate": {"name": "displacement", "s": 0.8}}}
+    workloads.check_gate_report(report("gate", "gate", gate))
+    config = {
+        "preset": "lin4", "solution_report": str(tmp_path / "lin4.json"), "branch": "1001", "r": 1.0,
+        "shots": 5000, "seed": 7, "plan": {"angles": [0.3, 1.1, 2.0, 2.9]}, "csv_path": str(tmp_path / "samples.csv"),
+    }
+    workloads.check_simulate_report(report("simulate", "simulate", config), config, synthesized["lin4"])

@@ -16,7 +16,6 @@ from mphd.cli import (
     _NESTED_KEYS,
     ALLOWED_KEYS,
     PRESETS,
-    feasibility_to_json,
     mat_from_json,
     merge,
     run,
@@ -111,6 +110,11 @@ class TestSynthesize:
         assert isinstance(report["feasibility"]["feasible"], bool)
         assert code == (0 if report["feasibility"]["feasible"] else 2)
 
+    def test_non_finite_tol_flag_rejected(self, tmp_path, capsys):
+        code, report = run_command(tmp_path, "synthesize", {"preset": "cz2"}, "--tol", "inf")
+        assert (code, report) == (1, None)
+        assert "tol must be positive" in capsys.readouterr().err
+
     def test_tol_flag_reaches_graph_target_feasibility_block(self, tmp_path):
         code, report = run_command(
             tmp_path, "synthesize", {"preset": "lin4", "target": PATH4}, "--tol", "1e-7"
@@ -129,7 +133,11 @@ class TestSynthesize:
         v = np.asarray(cluster["config"]["graph"]["adjacency"])
         g = mat_from_json(report["config"]["g"])
         fre = mphd.feasibility(mphd.cluster_unitary(v, m).u, g, mphd.DEFAULT_TOL)
-        assert report["feasibility"] == json.loads(json.dumps(feasibility_to_json(fre)))
+        block = report["feasibility"]
+        assert [block[k] for k in ("feasible", "offdiag_residual", "modulus_residual", "tol")] == [
+            fre.feasible, fre.offdiag_residual, fre.modulus_residual, fre.tol
+        ]
+        np.testing.assert_array_equal(mat_from_json(block["d_candidate"]), fre.d_candidate)
         assert code == (0 if fre.feasible else 2)
 
     def test_explicit_matrix_target(self, tmp_path):
@@ -694,6 +702,10 @@ class TestUsageErrors:
             ("gate", {"preset": "displacement", "target": {"gate": {"s": "1.5"}}}, "config.target.gate.s must"),
             ("synthesize", {"preset": "lin4", "tolerances": {"feasibility": "1e-9"}}, "config.tolerances.feasibility"),
             ("simulate", {**IDENTITY_SIMULATION, "r": None}, "config.r must be a number"),
+            *(
+                ("synthesize", {"modes": {"n": 4, "domain": domain}, "target": {"identity": True}}, "config.modes.domain")
+                for domain in ([0], [0, 1, 7], 5)
+            ),
         ],
     )
     def test_typed_leaves_name_their_dotted_key(self, tmp_path, capsys, command, doc, message):

@@ -108,6 +108,11 @@ class TestFlipModeBasis:
         with pytest.raises(ValidationError, match="empty domain"):
             flip_mode_basis(2, grid_points=256, domain=(1.0, 1.0))
 
+    @pytest.mark.parametrize("domain", [(0.0, np.nan), (0.0, np.inf), (-1e308, 1e308)])
+    def test_domain_without_finite_width(self, domain):
+        with pytest.raises(ValidationError, match="no finite width"):
+            flip_mode_basis(2, grid_points=256, domain=domain)
+
 
 class TestModeBasis:
     def test_empty_domain(self):
@@ -275,6 +280,12 @@ class TestBasisFile:
         path = tmp_path / "bad.txt"
         path.write_text("0.0 1.0 2\n1.0 1.0\n1.0 1.0\n")
         with pytest.raises(ValidationError):
+            load_mode_basis(path)
+
+    def test_overflowing_gram_is_named_not_orthonormal(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("0 1 2\n1e200 1e200\n1e200 -1e200\n")
+        with pytest.raises(ValidationError, match="not orthonormal"):
             load_mode_basis(path)
 
     def test_rejects_empty_file(self, tmp_path):

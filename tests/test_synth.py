@@ -72,6 +72,11 @@ class TestFeasibility:
         assert not report.feasible
         assert report.offdiag_residual > 0.9  # D = i * adjacency
 
+    def test_infinite_tol_rejected(self):
+        # an infinite tolerance would pass every pair as unitary and every target as feasible
+        with pytest.raises(ValidationError, match="tol must be positive"):
+            feasibility(CZ2_TARGET, CZ2_G, tol=np.inf)
+
     def test_non_unitary_input_named(self):
         bad = np.eye(4) * 1.5
         with pytest.raises(ValidationError, match="u_th"):
@@ -589,7 +594,7 @@ class TestSolveApprox:
         assert sol.residual <= 1e-12
         assert sol.residual == result.objective_trace[-1] == np.linalg.norm(sol.unitary(g) - u_th)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
     def test_non_positive_tol_rejected(self, tol):
         with pytest.raises(ValidationError, match="tol must be positive"):
             solve_approx(CZ2_TARGET, CZ2_G, tol=tol)
