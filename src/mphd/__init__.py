@@ -25,7 +25,6 @@ from .errors import (
     FeasibilityError,
     InternalConsistencyError,
     MPHDError,
-    ResolutionError,
     SingularityError,
     SingularPixelError,
     ValidationError,

@@ -67,7 +67,7 @@ ALLOWED_KEYS = {
 
 #: Blocks merged key by key and checked against these keys; other values are leaves.
 _NESTED_KEYS = {
-    "modes": {"n", "grid_points", "domain", "lo_index", "file"},
+    "modes": {"n", "domain", "lo_index", "file"},
     "pixels": {"count", "boundaries"},
     "detection": {"matrix"},
     "target": {"matrix", "graph", "gate", "identity"},
@@ -83,14 +83,14 @@ _NESTED_KEYS = {
 #: Per block (``None``: the top level), the alternatives of which a config gives one.
 _CHOICES = {
     None: ({"detection"}, {"modes", "pixels", "opo_phases"}),
-    "modes": ({"file"}, {"n", "grid_points", "domain"}),
+    "modes": ({"file"}, {"n", "domain"}),
     "pixels": ({"count"}, {"boundaries"}),
     "graph": ({"adjacency"}, {"edges", "n"}),
     "target": tuple({form} for form in sorted(_NESTED_KEYS["target"])),
 }
 
 #: Leaves that must be JSON integers, numbers, booleans or file paths, in any block.
-_INT_KEYS = {"n", "grid_points", "lo_index", "count", "seed", "shots", "max_iters", "restarts"}
+_INT_KEYS = {"n", "lo_index", "count", "seed", "shots", "max_iters", "restarts"}
 _REAL_KEYS = {"r", "input_squeezing", "theta_3", "s", "feasibility"}
 _BOOL_KEYS = {"enumerate", "identity"}
 _PATH_KEYS = {"file", "solution_report", "csv_path"}
@@ -240,15 +240,17 @@ def _resolve_detection(config):
             isinstance(domain, list) and len(domain) == 2 and all(type(x) in (int, float) for x in domain)
         ):
             raise ConfigError(f"config.modes.domain must be a list of two numbers, got {domain!r}")
-        basis = modes.flip_mode_basis(
-            mode_cfg.get("n", 4), mode_cfg.get("grid_points", modes.DEFAULT_GRID_POINTS), tuple(domain)
-        )
+        basis = modes.flip_mode_basis(mode_cfg.get("n", 4), tuple(domain))
     lo_index = mode_cfg.get("lo_index", 0)
     pixel_cfg = config.get("pixels", {})
-    if "boundaries" in pixel_cfg:
-        partition = modes.PixelPartition(pixel_cfg["boundaries"])
+    boundaries = pixel_cfg.get("boundaries")
+    count = pixel_cfg.get("count", basis.n_modes) if boundaries is None else np.size(boundaries) - 1
+    if count != basis.n_modes:
+        raise ConfigError(f"pixels gives {count} pixels for {basis.n_modes} modes; G must be square")
+    if boundaries is None:
+        partition = modes.PixelPartition.equal(count, basis.domain)
     else:
-        partition = modes.PixelPartition.equal(pixel_cfg.get("count", basis.n_modes), basis.domain)
+        partition = modes.PixelPartition(boundaries)
     opo = config.get("opo_phases")
     if opo is not None and np.size(opo) != basis.n_modes:
         raise ConfigError(f"opo_phases gives {np.size(opo)} dephasings for {basis.n_modes} modes")
@@ -257,7 +259,6 @@ def _resolve_detection(config):
         "modes": {
             "family": "file" if "file" in mode_cfg else "flip",
             "n": basis.n_modes,
-            "grid_points": basis.grid_points,
             "domain": basis.domain,
             "lo_index": lo_index,
         },

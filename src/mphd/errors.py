@@ -13,10 +13,6 @@ class ValidationError(MPHDError, ValueError):
     """An input violates a structural requirement (unitarity, symmetry, ...)."""
 
 
-class ResolutionError(MPHDError, ValueError):
-    """Sampling grid too coarse to resolve the requested mode structure."""
-
-
 class SingularPixelError(MPHDError, ValueError):
     """A pixel collects no local-oscillator intensity, so its normalization is undefined."""
 

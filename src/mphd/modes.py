@@ -1,12 +1,16 @@
 """Mode bases, pixel partitions, and the detection front end.
 
-All mode functions live on a 1-D detector coordinate interval and are stored
-sampled at the midpoints of a uniform grid; integrals are composite midpoint
-sums, which are exact for step functions whose jumps sit on cell edges.
+All mode functions live on a 1-D detector coordinate interval, split into
+uniform cells, and are read as constant on each cell. Integrals are sums over
+cells weighted by the share of each cell that lies in the integration range,
+so they are exact for such step functions wherever the pixel edges fall. A
+flip basis has one cell per segment. The cell width weights the terms before
+they are summed, so no sum overflows while the domain's width has a finite
+reciprocal.
 
-Front-end defaults live here: a :data:`DEFAULT_GRID_POINTS` grid over
-:data:`DEFAULT_DOMAIN` and zero OPO dephasings. A mode file is plain text: a
-``domain_min domain_max grid_points`` header, then one row of samples per cell.
+Front-end defaults live here: :data:`DEFAULT_DOMAIN` and zero OPO dephasings.
+A mode file is plain text: a ``domain_min domain_max grid_points`` header,
+then one row of samples per cell.
 """
 
 from __future__ import annotations
@@ -17,14 +21,14 @@ import numpy as np
 
 from .errors import (
     DimensionError,
-    ResolutionError,
     SingularPixelError,
     ValidationError,
 )
 from .matcore import DiagonalUnitary
 
-DEFAULT_GRID_POINTS = 4096
 DEFAULT_DOMAIN = (0.0, 1.0)
+#: Most flip modes :func:`flip_mode_basis` builds; its pattern matrix grows as N^2.
+_MAX_FLIP_MODES = 64
 #: How far a partition's outer boundaries may sit from the domain's ends.
 _COVER_TOL = 1e-9
 #: Largest Gram-matrix deviation from the identity a loaded mode file may have.
@@ -33,11 +37,11 @@ _ORTHONORMAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """A set of orthonormal mode functions sampled on a uniform grid.
+    """A set of orthonormal mode functions, constant on the cells of a uniform grid.
 
-    ``samples[k, i]`` is mode ``k`` evaluated at the midpoint of grid cell
-    ``i``. Modes are expected to be pairwise orthonormal under the midpoint
-    quadrature rule; :meth:`orthonormality_residual` measures the deviation.
+    ``samples[k, i]`` is the value of mode ``k`` on grid cell ``i``. Modes are
+    expected to be pairwise orthonormal as such step functions;
+    :meth:`orthonormality_residual` measures the deviation.
     """
 
     domain: tuple[float, float]
@@ -68,15 +72,10 @@ class ModeBasis:
         lo, hi = self.domain
         return (hi - lo) / self.grid_points
 
-    def midpoints(self) -> np.ndarray:
-        lo, _ = self.domain
-        h = self.cell_width
-        return lo + h * (np.arange(self.grid_points) + 0.5)
-
     def gram(self) -> np.ndarray:
         # huge samples overflow to an inf/nan residual, which the orthonormality check names
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.cell_width * (np.conj(self.samples) @ self.samples.T)
+            return (self.cell_width * np.conj(self.samples)) @ self.samples.T
 
     def orthonormality_residual(self) -> float:
         return float(np.abs(self.gram() - np.eye(self.n_modes)).max())
@@ -103,38 +102,24 @@ def _sequency_walsh_patterns(n_modes: int) -> np.ndarray:
     return patterns * np.where(centered, patterns[:, mid], patterns[:, 0])[:, None]
 
 
-def flip_mode_basis(
-    n_modes: int,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    domain: tuple[float, float] = DEFAULT_DOMAIN,
-) -> ModeBasis:
+def flip_mode_basis(n_modes: int, domain: tuple[float, float] = DEFAULT_DOMAIN) -> ModeBasis:
     """Square-profile mode family: mode ``n`` has ``n - 1`` sign flips.
 
     Mode 1 is flat (the local oscillator of the worked four-mode example);
-    mode ``n`` is a constant-magnitude profile with ``n - 1`` flips on a grid
-    of ``2^ceil(log2 N)`` equal segments. All modes are normalized and
-    pairwise orthogonal.
+    mode ``n`` is a constant-magnitude profile with ``n - 1`` flips on
+    ``2^ceil(log2 N)`` equal segments, one grid cell each. All modes are
+    normalized and pairwise orthogonal. At most ``_MAX_FLIP_MODES`` modes.
     """
-    if n_modes < 1:
-        raise ValidationError(f"need at least one mode, got {n_modes}")
-    if grid_points < 64 * n_modes:
-        raise ResolutionError(
-            f"grid_points={grid_points} too coarse for {n_modes} flip modes "
-            f"(need >= {64 * n_modes})"
-        )
+    if not 1 <= n_modes <= _MAX_FLIP_MODES:
+        raise ValidationError(f"need 1 to {_MAX_FLIP_MODES} flip modes, got {n_modes}")
     lo, hi = float(domain[0]), float(domain[1])
     if not np.isfinite(hi - lo):
         raise ValidationError(f"domain [{lo}, {hi}] has no finite width")
     if hi <= lo:
         raise ValidationError(f"empty domain [{lo}, {hi}]")
-    patterns = _sequency_walsh_patterns(n_modes)
-    nseg = patterns.shape[1]
-    h = (hi - lo) / grid_points
-    mids = lo + h * (np.arange(grid_points) + 0.5)
-    seg = np.minimum(((mids - lo) / (hi - lo) * nseg).astype(int), nseg - 1)
-    amplitude = 1.0 / np.sqrt(hi - lo)
-    samples = amplitude * patterns[:, seg]
-    return ModeBasis(domain=(lo, hi), samples=samples)
+    if not np.isfinite(1.0 / (hi - lo)):
+        raise ValidationError(f"domain [{lo}, {hi}] is too narrow: its width has no finite reciprocal")
+    return ModeBasis((lo, hi), _sequency_walsh_patterns(n_modes) / np.sqrt(hi - lo))
 
 
 @dataclass(frozen=True)
@@ -158,15 +143,16 @@ class PixelPartition:
         return cls(np.linspace(domain[0], domain[1], count + 1))
 
 
-def _pixel_masks(basis: ModeBasis, partition: PixelPartition) -> np.ndarray:
-    """Boolean (P, M) pixel membership of grid-cell midpoints; the pixels must span the domain."""
+def _pixel_shares(basis: ModeBasis, partition: PixelPartition) -> np.ndarray:
+    """(P, M) share of each grid cell that lies in each pixel; the pixels must span the domain."""
     b = partition.boundaries
     if not np.abs(b[[0, -1]] - basis.domain).max() <= _COVER_TOL:
         raise ValidationError(f"partition {b[[0, -1]]} does not cover domain {basis.domain}")
-    mids = basis.midpoints()
-    masks = (mids[None, :] >= b[:-1, None]) & (mids[None, :] < b[1:, None])
-    masks[-1] |= mids >= b[-1]  # right edge belongs to the last pixel
-    return masks
+    b = b.copy()
+    b[[0, -1]] = basis.domain
+    e = np.linspace(*basis.domain, basis.grid_points + 1)
+    overlap = np.minimum(e[None, 1:], b[1:, None]) - np.maximum(e[None, :-1], b[:-1, None])
+    return np.clip(overlap, 0.0, None) / basis.cell_width
 
 
 def pixel_modes(basis: ModeBasis, lo_index: int, partition: PixelPartition):
@@ -179,21 +165,22 @@ def pixel_modes(basis: ModeBasis, lo_index: int, partition: PixelPartition):
     Returns
     -------
     (modes, kappa)
-        ``modes`` is a (P, M) array of sampled pixel modes; ``kappa`` the
-        vector of normalization constants.
+        ``modes`` is a (P, M) array holding each pixel mode's mean over each
+        grid cell (a cell cut by a pixel edge gets its share of ``u_LO``);
+        ``kappa`` the vector of normalization constants.
     """
     if not 0 <= lo_index < basis.n_modes:
         raise DimensionError(f"lo_index {lo_index} out of range for {basis.n_modes} modes")
     u_lo = basis.samples[lo_index]
-    masks = _pixel_masks(basis, partition)
-    power = basis.cell_width * (masks @ np.abs(u_lo) ** 2)
+    shares = _pixel_shares(basis, partition)
+    power = (basis.cell_width * shares) @ np.abs(u_lo) ** 2
     if np.any(power <= 1e-15):
         bad = int(np.argmin(power))
         raise SingularPixelError(
             f"pixel {bad} carries no local-oscillator intensity; kappa undefined"
         )
     kappa = 1.0 / np.sqrt(power)
-    modes = kappa[:, None] * (masks * u_lo[None, :])
+    modes = kappa[:, None] * (shares * u_lo[None, :])
     return modes, kappa
 
 
@@ -201,9 +188,10 @@ def pixel_modes(basis: ModeBasis, lo_index: int, partition: PixelPartition):
 class DetectionSetup:
     """The physical front end: detection matrix, input dephasings, and G.
 
-    ``u_t[i, j] = kappa_i int_{S_i} u_LO^* u_j`` is the midpoint-rule overlap of
-    pixel mode ``i`` (see :func:`pixel_modes`) with mode ``j``; square, with pixel
-    modes spanning the basis, it is unitary within integration tolerance.
+    ``u_t[i, j] = kappa_i int_{S_i} u_LO^* u_j`` is the overlap of pixel mode
+    ``i`` (see :func:`pixel_modes`) with mode ``j``, exact for modes constant on
+    their cells; square, with pixel modes spanning the basis, it is unitary to
+    rounding.
     Invariant: ``g == u_t . conj(delta_opo)`` by construction.
     """
 
@@ -223,7 +211,7 @@ def detection_setup(
     ``opo_phases`` defaults to no dephasing (all zero), one per mode.
     """
     pixel, _ = pixel_modes(basis, lo_index, partition)
-    u_t = basis.cell_width * (np.conj(pixel) @ basis.samples.T)
+    u_t = (basis.cell_width * np.conj(pixel)) @ basis.samples.T
     delta_opo = DiagonalUnitary(np.zeros(basis.n_modes) if opo_phases is None else opo_phases)
     if delta_opo.dim != basis.n_modes:
         raise DimensionError(f"{delta_opo.dim} dephasings given for {basis.n_modes} modes")
@@ -247,7 +235,9 @@ def load_mode_basis(path) -> ModeBasis:
     Blank lines and lines starting with ``#`` are skipped. The first row is
     ``domain_min domain_max grid_points``; each of the ``grid_points`` later
     rows holds one sample per mode, read by ``np.loadtxt`` as real (``0.5``)
-    or complex (``0.5+0.1j``). Orthonormality is checked to ``_ORTHONORMAL_TOL``.
+    or complex (``0.5+0.1j``). Each sample is the mode's value on the whole of
+    its cell, one of ``grid_points`` equal cells over the domain, not a point
+    value. Orthonormality is checked to ``_ORTHONORMAL_TOL``.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]

@@ -9,7 +9,7 @@ PUBLIC_NAMES = [
     "ConfigError", "DEFAULT_TOL", "DetectionSetup", "DiagonalUnitary", "DimensionError",
     "FOURIER_GATE", "FeasibilityError", "FeasibilityReport", "GateProgram", "GateVerification",
     "GaussianState", "HomodyneRecord", "InternalConsistencyError", "MPHDError",
-    "MeasurementPlan", "ModeBasis", "PixelPartition", "ResolutionError", "SimulationResult",
+    "MeasurementPlan", "ModeBasis", "PixelPartition", "SimulationResult",
     "SingularPixelError", "SingularityError", "SynthesisSolution", "ValidationError", "apply",
     "build_u_tf", "cluster_unitary", "compose", "detection_setup", "displacement_program",
     "enumerate_solutions", "export_samples_csv", "feasibility", "flip_mode_basis",
@@ -56,7 +56,7 @@ PUBLIC_SIGNATURES = {
     "enumerate_solutions": ("report", "g", "u_th"),
     "export_samples_csv": ("result", "path"),
     "feasibility": ("u_th", "g", "tol"),
-    "flip_mode_basis": ("n_modes", "grid_points", "domain"),
+    "flip_mode_basis": ("n_modes", "domain"),
     "fourier_program": ("theta_3",),
     "frobenius_distance": ("m1", "m2"),
     "homodyne_measure": ("state", "mode", "theta", "rng_seed"),

@@ -159,7 +159,7 @@ class TestSynthesize:
     def test_preset_detection_can_be_replaced(self, tmp_path):
         doc = {
             "preset": "cz2",
-            "modes": {"n": 2, "grid_points": 256},
+            "modes": {"n": 2},
             "pixels": {"count": 2},
         }
         code, report = run_command(tmp_path, "synthesize", doc)
@@ -179,7 +179,7 @@ class TestSynthesize:
         from mphd import flip_mode_basis, save_mode_basis
 
         basis_path = tmp_path / "basis.txt"
-        save_mode_basis(flip_mode_basis(4, grid_points=512), basis_path)
+        save_mode_basis(flip_mode_basis(4), basis_path)
         doc = {
             "modes": {"file": str(basis_path)},
             "pixels": {"count": 4},
@@ -193,7 +193,7 @@ class TestSynthesize:
     def test_preset_keys_stay_allowed_on_either_route(self, tmp_path):
         # the preset fills in keys the user's route ignores; only user keys are checked
         basis_path = tmp_path / "basis.txt"
-        mphd.save_mode_basis(mphd.flip_mode_basis(4, grid_points=512), basis_path)
+        mphd.save_mode_basis(mphd.flip_mode_basis(4), basis_path)
         doc = {"preset": "lin4", "modes": {"file": str(basis_path)}}
         code, report = run_command(tmp_path, "synthesize", doc)
         assert code == 0
@@ -603,7 +603,7 @@ class TestUsageErrors:
             ("synthesize", {**IDENTITY_DETECTION, "modes": {"n": 2}}, []),
             (
                 "synthesize",
-                {"modes": {"file": "basis.txt", "n": 9, "grid_points": 5}, "target": {"identity": True}},
+                {"modes": {"file": "basis.txt", "n": 9}, "target": {"identity": True}},
                 [],
             ),
             ("synthesize", {"preset": "lin4", "modes": {"file": "basis.txt", "domain": [0, 2]}}, []),
@@ -676,7 +676,7 @@ class TestUsageErrors:
     def test_exits_1_with_message(self, tmp_path, monkeypatch, capsys, command, doc, flags):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "list.json").write_text("[]")
-        mphd.save_mode_basis(mphd.flip_mode_basis(4, grid_points=256), tmp_path / "basis.txt")
+        mphd.save_mode_basis(mphd.flip_mode_basis(4), tmp_path / "basis.txt")
         if doc is None:
             code, report = run([command, *flags]), None
         else:
@@ -710,6 +710,21 @@ class TestUsageErrors:
     )
     def test_typed_leaves_name_their_dotted_key(self, tmp_path, capsys, command, doc, message):
         code, report = run_command(tmp_path, command, doc)
+        assert (code, report) == (1, None)
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"preset": "identity", "modes": {"n": 65}}, "need 1 to 64 flip modes, got 65"),
+            ({"preset": "lin4", "modes": {"domain": [0, 1e-320]}}, "too narrow"),
+            ({"preset": "identity", "pixels": {"count": 20000}}, "pixels gives 20000 pixels for 4 modes"),
+            ({"preset": "lin4", "pixels": {"boundaries": [0, 0.5, 1]}}, "pixels gives 2 pixels for 4 modes"),
+        ],
+        ids=["modes-n-65", "domain-too-narrow", "pixels-count", "pixels-boundaries"],
+    )
+    def test_front_end_limits_are_named(self, tmp_path, capsys, doc, message):
+        code, report = run_command(tmp_path, "synthesize", doc)
         assert (code, report) == (1, None)
         assert message in capsys.readouterr().err
 

@@ -13,7 +13,6 @@ from mphd import (
 )
 from mphd.errors import (
     DimensionError,
-    ResolutionError,
     SingularPixelError,
     ValidationError,
 )
@@ -51,22 +50,33 @@ def segment_overlap_oracle(patterns):
     return patterns @ patterns.T / nseg
 
 
+def lcm_cell_oracle(n_modes, n_pixels):
+    """u_t of unit-domain flip modes on equal pixels, on lcm(segments, pixels)
+    cells, so that every segment and pixel edge is a cell edge."""
+    patterns = sylvester_walsh_oracle(n_modes)
+    nseg = patterns.shape[1]
+    cells = np.lcm(nseg, n_pixels)
+    modes = np.repeat(patterns, cells // nseg, axis=1)
+    u_t = np.empty((n_pixels, n_modes))
+    for i, pixel in enumerate(np.split(modes, n_pixels, axis=1)):
+        kappa = 1.0 / np.sqrt(np.sum(pixel[0] ** 2) / cells)
+        u_t[i] = kappa * (pixel @ pixel[0]) / cells
+    return u_t
+
+
 class TestFlipModeBasis:
     def test_single_flat_mode(self):
-        basis = flip_mode_basis(1, grid_points=64)
+        basis = flip_mode_basis(1)
         assert basis.n_modes == 1
         np.testing.assert_allclose(basis.samples[0], 1.0)
         assert basis.gram()[0, 0] == pytest.approx(1.0)
 
     def test_four_mode_sign_patterns(self):
-        basis = flip_mode_basis(4)
-        probes = np.array([0.125, 0.375, 0.625, 0.875])
-        idx = np.searchsorted(basis.midpoints(), probes)
-        values = basis.samples[:, idx]
-        np.testing.assert_allclose(values, FLIP4_PATTERNS, atol=1e-12)
+        # one grid cell per quarter segment
+        np.testing.assert_array_equal(flip_mode_basis(4).samples, FLIP4_PATTERNS)
 
     def test_flip_counts(self):
-        basis = flip_mode_basis(6, grid_points=1024)
+        basis = flip_mode_basis(6)
         for n in range(basis.n_modes):
             signs = np.sign(basis.samples[n])
             flips = np.count_nonzero(signs[1:] != signs[:-1])
@@ -74,10 +84,7 @@ class TestFlipModeBasis:
 
     def test_patterns_match_sylvester_oracle(self):
         for n in range(1, 65):
-            nseg = 1 << (n - 1).bit_length()
-            basis = flip_mode_basis(n, grid_points=64 * nseg)
-            # each segment spans 64 grid cells; read the sign at its first cell
-            patterns = np.sign(basis.samples[:, ::64])
+            patterns = np.sign(flip_mode_basis(n).samples)
             np.testing.assert_array_equal(patterns, sylvester_walsh_oracle(n), err_msg=f"n = {n}")
 
     def test_orthonormal_against_segment_oracle(self):
@@ -89,16 +96,17 @@ class TestFlipModeBasis:
 
     def test_orthonormal_for_odd_mode_counts(self):
         for n in (2, 3, 5, 7):
-            basis = flip_mode_basis(n, grid_points=64 * 8)
+            basis = flip_mode_basis(n)
             assert basis.orthonormality_residual() <= 1e-10
 
-    def test_custom_domain(self):
-        basis = flip_mode_basis(4, domain=(-1.0, 3.0))
+    @pytest.mark.parametrize("domain", [(-1.0, 3.0), (0.0, 1e-308)])
+    def test_custom_domain(self, domain):
+        basis = flip_mode_basis(4, domain=domain)
         assert basis.orthonormality_residual() <= 1e-10
 
-    def test_grid_too_coarse(self):
-        with pytest.raises(ResolutionError):
-            flip_mode_basis(4, grid_points=100)
+    def test_more_than_64_modes_rejected(self):
+        with pytest.raises(ValidationError, match="need 1 to 64 flip modes, got 65"):
+            flip_mode_basis(65)
 
     def test_bad_mode_count(self):
         with pytest.raises(ValidationError):
@@ -106,12 +114,20 @@ class TestFlipModeBasis:
 
     def test_empty_domain(self):
         with pytest.raises(ValidationError, match="empty domain"):
-            flip_mode_basis(2, grid_points=256, domain=(1.0, 1.0))
+            flip_mode_basis(2, domain=(1.0, 1.0))
 
-    @pytest.mark.parametrize("domain", [(0.0, np.nan), (0.0, np.inf), (-1e308, 1e308)])
-    def test_domain_without_finite_width(self, domain):
-        with pytest.raises(ValidationError, match="no finite width"):
-            flip_mode_basis(2, grid_points=256, domain=domain)
+    @pytest.mark.parametrize(
+        "domain, message",
+        [
+            ((0.0, np.nan), "no finite width"),
+            ((0.0, np.inf), "no finite width"),
+            ((-1e308, 1e308), "no finite width"),
+            ((0.0, 1e-320), "too narrow: its width has no finite reciprocal"),
+        ],
+    )
+    def test_domain_without_finite_width(self, domain, message):
+        with pytest.raises(ValidationError, match=message):
+            flip_mode_basis(2, domain=domain)
 
 
 class TestModeBasis:
@@ -150,7 +166,7 @@ class TestPixelPartition:
 
     def test_must_cover_the_domain(self):
         with pytest.raises(ValidationError, match="does not cover domain"):
-            detection_setup(flip_mode_basis(2, grid_points=256), 0, PixelPartition([0.0, 0.5]))
+            detection_setup(flip_mode_basis(2), 0, PixelPartition([0.0, 0.5]))
 
 
 class TestPixelModes:
@@ -188,8 +204,14 @@ class TestPixelModes:
         with pytest.raises(SingularPixelError):
             pixel_modes(basis, 0, PixelPartition([0.0, 0.5, 1.0]))
 
+    def test_pixel_edge_inside_a_cell_takes_its_share(self):
+        # samples are constant on their cells: the edge at 0.3 splits the second cell
+        basis = ModeBasis(domain=(0.0, 1.0), samples=np.ones((1, 4)))
+        _, kappa = pixel_modes(basis, 0, PixelPartition([0.0, 0.3, 1.0]))
+        np.testing.assert_allclose(kappa**2, [1 / 0.3, 1 / 0.7], rtol=1e-14)
+
     def test_bad_lo_index(self):
-        basis = flip_mode_basis(2, grid_points=256)
+        basis = flip_mode_basis(2)
         with pytest.raises(DimensionError):
             pixel_modes(basis, 5, PixelPartition.equal(2))
 
@@ -204,18 +226,26 @@ class TestDetectionMatrix:
         np.testing.assert_allclose(u_t, rv.DETECTION_4, atol=1e-8)
 
     def test_trivial_single_mode(self):
-        u_t = detection_matrix(flip_mode_basis(1, grid_points=64), PixelPartition.equal(1))
+        u_t = detection_matrix(flip_mode_basis(1), PixelPartition.equal(1))
         np.testing.assert_allclose(u_t, [[1.0]], atol=1e-12)
 
     def test_rows_orthonormal(self):
         u_t = detection_matrix(flip_mode_basis(4), PixelPartition.equal(4))
         np.testing.assert_allclose(u_t.conj().T @ u_t, np.eye(4), atol=1e-8)
 
-    def test_grid_refinement_converges(self):
-        part = PixelPartition.equal(4)
-        coarse = detection_matrix(flip_mode_basis(4, 4096), part)
-        fine = detection_matrix(flip_mode_basis(4, 8192), part)
-        assert np.abs(coarse - fine).max() < 1e-8
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 10, 12, 24, 33, 48])
+    def test_matches_the_lcm_cell_oracle(self, n):
+        # pixel edges inside flip segments: the overlaps are exact all the same
+        for count in sorted({n, 3, 6}):
+            u_t = detection_matrix(flip_mode_basis(n), PixelPartition.equal(count))
+            np.testing.assert_allclose(u_t, lcm_cell_oracle(n, count), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("domain", [(-1.0, 3.0), (0.0, 1e-308)])
+    def test_overlaps_do_not_depend_on_the_domain(self, domain):
+        # cell widths weight the samples before the sums, so 1/width near the float limit does not overflow
+        u_t = detection_matrix(flip_mode_basis(6, domain=domain), PixelPartition.equal(6, domain))
+        unit = detection_matrix(flip_mode_basis(6), PixelPartition.equal(6))
+        np.testing.assert_allclose(u_t, unit, rtol=0, atol=1e-14)
 
     def test_rectangular(self):
         u_t = detection_matrix(flip_mode_basis(4), PixelPartition.equal(6))
@@ -229,7 +259,7 @@ class TestDetectionMatrix:
         walsh = sylvester_walsh_oracle(n)
         u_t = detection_matrix(flip_mode_basis(n), PixelPartition.equal(n))
         expected = walsh[0][:, None] * walsh.T / np.sqrt(n)
-        np.testing.assert_allclose(u_t, expected, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(u_t, expected)
 
 
 class TestDetectionSetup:
@@ -258,7 +288,7 @@ class TestDetectionSetup:
 
 class TestBasisFile:
     def test_round_trip(self, tmp_path):
-        basis = flip_mode_basis(3, grid_points=256)
+        basis = flip_mode_basis(3)
         path = tmp_path / "basis.txt"
         save_mode_basis(basis, path)
         loaded = load_mode_basis(path)
