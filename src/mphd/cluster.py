@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .matcore import as_complex_matrix, is_real_orthogonal
+from .matcore import _require_count, as_complex_matrix, is_real_orthogonal
 
 #: Asymmetry and negative eigenvalue :func:`symmetric_x` forgives in its input.
 _SYMMETRY_TOL = 1e-10
@@ -45,6 +45,7 @@ def validate_adjacency(v) -> np.ndarray:
 
 def path_adjacency(n: int) -> np.ndarray:
     """Adjacency matrix of the n-vertex path graph with unit edge weights."""
+    _require_count(n=n)
     if n < 1:
         raise ValidationError(f"need at least one vertex, got {n}")
     v = np.zeros((n, n))

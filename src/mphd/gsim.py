@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .matcore import symplectic_from_unitary
+from .matcore import _require_count, symplectic_from_unitary
 from .mbqc import GateProgram
 from .modes import DetectionSetup
 from .synth import SynthesisSolution
@@ -267,6 +267,7 @@ def simulate_mphd(
     The direct covariance (single map from the solution's full unitary) is
     returned alongside for cross-checking.
     """
+    _require_count(shots=shots)
     if shots < 1:
         raise ValidationError(f"need at least one shot, got {shots}")
     g = np.asarray(setup.g, dtype=complex)
@@ -286,7 +287,7 @@ def simulate_mphd(
         raise ValidationError(f"covariance is not finite at r = {r}")
 
     rows = np.sin(plan.angles)[:, None] * staged[:n] + np.cos(plan.angles)[:, None] * staged[n:]
-    rng, shots = np.random.default_rng(seed), int(shots)
+    rng = np.random.default_rng(seed)
     outcomes = rng.standard_normal((shots, n)) @ (np.linalg.qr(rows.T, mode="r") * plan.gains)
     outcomes += plan.offsets
     sample_mean = np.ones(shots) @ outcomes / shots

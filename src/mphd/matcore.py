@@ -39,13 +39,25 @@ def _require_square(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
+def _require_count(**counts) -> None:
+    """Refuse a count that is not a Python or numpy integer (``bool`` included)."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _unitary_residual(arr: np.ndarray) -> float:
+    """``||M^dag M - I||_F`` of a square complex array, summed as ``np.linalg.norm`` sums."""
+    gram = (arr.conj().T @ arr).ravel()
+    gram[:: len(arr) + 1] -= 1.0
+    return float(np.sqrt(gram.real.dot(gram.real) + gram.imag.dot(gram.imag)))
+
+
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     """Check ``||M^dag M - I||_F <= tol`` for a square matrix."""
     if not 0 < tol < np.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
-    arr = _require_square(as_complex_matrix(m, "matrix"), "matrix")
-    n = arr.shape[0]
-    return bool(np.linalg.norm(arr.conj().T @ arr - np.eye(n)) <= tol)
+    return bool(_unitary_residual(_require_square(as_complex_matrix(m, "matrix"), "matrix")) <= tol)
 
 
 def is_real_orthogonal(m, tol: float = DEFAULT_TOL) -> bool:
@@ -142,16 +154,17 @@ def _diagonal_rows(phases: np.ndarray) -> list[DiagonalUnitary]:
 
 
 def procrustes_best_orthogonal(b) -> np.ndarray:
-    """Orthogonal matrix maximizing ``trace(O B)``.
+    """Orthogonal matrix maximizing ``trace(O B)``, or one per matrix of a ``(..., n, n)`` stack.
 
     With the singular decomposition ``B = P S Q^T`` the maximizer is
     ``O = Q P^T`` and the achieved trace equals the sum of singular values.
-    The result may have determinant +1 or -1.
+    The result may have determinant +1 or -1. ``solve_approx`` passes its lockstep restarts
+    as one stack: one SVD and one product call, each matrix bit for bit as if alone.
     """
     arr = np.asarray(b, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise DimensionError(f"expected a square real matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError("matrix contains non-finite entries")
     p, _, qt = np.linalg.svd(arr)
-    return qt.T @ p.T
+    return qt.swapaxes(-1, -2) @ p.swapaxes(-1, -2)

@@ -93,9 +93,10 @@ class MeasurementPlan:
             raise DimensionError("angles, offsets and gains must have equal length")
         if np.any(gains < 1.0 - 1e-12):
             raise ValidationError("measurement gains must be >= 1")
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "gains", gains)
+        for name, values in (("angles", angles), ("offsets", offsets), ("gains", gains)):
+            if not np.isfinite(values).all():
+                raise ValidationError(f"measurement {name} must be finite")
+            object.__setattr__(self, name, values)
 
     @property
     def n_modes(self) -> int:

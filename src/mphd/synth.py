@@ -12,7 +12,8 @@ check) is built once per :class:`FeasibilityReport`, on first use, and the
 branches are built as one block, sharing one residual per (report, ``G``,
 ``U_th``). A solution holds only its parameters; ``sol.unitary(g)`` forms
 ``O . Delta_LO . G`` as a real GEMM of ``O`` with ``[Re | Im](Delta_LO . G)``.
-Targets that fail the test can still be approximated in Frobenius distance.
+Targets that fail the test can still be approximated in Frobenius distance;
+the optimizer's restarts advance in lockstep, with the results of running them one by one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -36,10 +37,11 @@ from .matcore import (
     DiagonalUnitary,
     _diagonal_rows,
     _frozen_instances,
+    _require_count,
+    _unitary_residual,
     as_complex_matrix,
     frobenius_distance,
     is_real_orthogonal,
-    is_unitary,
     procrustes_best_orthogonal,
     wrap_angle,
 )
@@ -101,7 +103,7 @@ class SynthesisSolution:
 
     def unitary(self, g) -> np.ndarray:
         """The detector unitary ``O . Delta_LO . G`` over the front end ``g``."""
-        return _mphd_unitary(self.gains, self.delta_lo.phases, g)
+        return _mphd_unitary(self.gains, self.delta_lo.diagonal(), g)
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,8 @@ class ApproxResult:
 
 def _unitary_pair(u_th, g, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """``u_th`` and ``g`` as complex arrays: square, one non-empty shape, unitary within ``tol``."""
+    if not 0 < tol < np.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     u = as_complex_matrix(u_th, "u_th")
     gm = as_complex_matrix(g, "g")
     if u.shape[0] != u.shape[1] or gm.shape[0] != gm.shape[1]:
@@ -124,9 +128,9 @@ def _unitary_pair(u_th, g, tol: float) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"shape mismatch: u_th {u.shape} vs g {gm.shape}")
     if not u.size:
         raise DimensionError("u_th is empty: a target needs at least one mode")
-    if not is_unitary(gm, tol):
+    if not _unitary_residual(gm) <= tol:
         raise ValidationError("g is not unitary within tolerance")
-    if not is_unitary(u, tol):
+    if not _unitary_residual(u) <= tol:
         raise ValidationError("u_th is not unitary within tolerance")
     return u, gm
 
@@ -154,10 +158,11 @@ def feasibility(u_th, g, tol: float = DEFAULT_TOL) -> FeasibilityReport:
     )
 
 
-def _mphd_unitary(gains, phases, g) -> np.ndarray:
-    """The detector unitary ``O . diag(e^{i phases}) . G``, as real ``O`` times ``[Re | Im](Delta G)``."""
-    delta_g = np.ascontiguousarray(np.exp(1j * phases)[:, None] * g)
-    return np.dot(gains, delta_g.view(float)).view(complex)
+def _mphd_unitary(gains, unit, g) -> np.ndarray:
+    """``O . diag(unit) . G`` (``unit = e^{i phases}``) as real ``O`` times ``[Re | Im](Delta G)``;
+    a ``(B, n, n)`` stack of gains with ``(B, n)`` diagonals takes one ``matmul``, bit for bit."""
+    delta_g = np.ascontiguousarray(unit[..., None] * g)
+    return (np.dot if np.ndim(gains) == 2 else np.matmul)(gains, delta_g.view(float)).view(complex)
 
 
 def _branches(report: FeasibilityReport, g, u_th, bits: np.ndarray) -> list[SynthesisSolution]:
@@ -168,7 +173,7 @@ def _branches(report: FeasibilityReport, g, u_th, bits: np.ndarray) -> list[Synt
     phases, gains = report._principal
     cached = report.__dict__.get("_residual")
     if cached is None or not (np.array_equal(cached[0], g) and np.array_equal(cached[1], u_th)):
-        residual = frobenius_distance(_mphd_unitary(gains, phases, g), u_th)
+        residual = frobenius_distance(_mphd_unitary(gains, np.exp(1j * phases), g), u_th)
         cached = report.__dict__["_residual"] = (np.array(g), np.array(u_th), residual)
     return _frozen_instances(
         SynthesisSolution, len(bits), _diagonal_rows(phases + np.pi * bits),
@@ -244,8 +249,70 @@ def verify_solution(sol: SynthesisSolution, u_th, g) -> float:
 _EXACT_FLOOR = 1e-12
 
 
-def _objective(gains, phases, g, u_th) -> float:
-    return float(np.linalg.norm(_mphd_unitary(gains, phases, g) - u_th))
+def _objective(gains, unit, g, u) -> list:
+    """``||O . diag(unit) . G - U||_F`` per run of a stack, summed as ``np.linalg.norm`` sums."""
+    diff = (_mphd_unitary(gains, unit, g) - u).reshape(len(gains), 1, -1)
+    re, im = diff.real, diff.imag  # one strided BLAS dot per run and part, as ndarray.dot takes them
+    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).ravel().tolist()
+
+
+def _rows(keep: list, new, old):
+    """The rows of ``new`` where ``keep``, else of ``old``."""
+    return new if all(keep) else np.where(np.reshape(keep, (-1,) + (1,) * (new.ndim - 1)), new, old)
+
+
+def _descend(phases, u, gm, u_prime, max_iters: int) -> list:
+    """``(objective, phases, gains, trace, converged)`` per row of a ``(B, n)`` start block, in lockstep,
+    up to the first row that ends below the exactness floor: the restarts stop there."""
+    u_dag = u_prime.conj().T
+    runs, index, traces = [None] * len(phases), list(range(len(phases))), [[] for _ in range(len(phases))]
+    unit, gains = np.exp(1j * phases), np.zeros(phases.shape + phases.shape[-1:])
+    f_val = gained = [np.inf] * len(phases)
+    for iteration in range(1, max_iters + 1):
+        f_prev, start = f_val, phases
+        # closed-form gain step
+        candidate = procrustes_best_orthogonal((unit[:, :, None] * u_dag).real)
+        f_cand = _objective(candidate, unit, gm, u)
+        keep = [c <= f for c, f in zip(f_cand, f_val)]
+        gains, f_val = _rows(keep, candidate, gains), list(map(min, f_val, f_cand))
+        # closed-form phase step
+        candidate = np.angle((gains.transpose(0, 2, 1) @ u_prime).diagonal(0, 1, 2))
+        cand_unit = np.exp(1j * candidate)
+        f_cand = _objective(gains, cand_unit, gm, u)
+        keep = [c <= f for c, f in zip(f_cand, f_val)]
+        phases, unit = _rows(keep, candidate, phases), _rows(keep, cand_unit, unit)
+        f_val = list(map(min, f_val, f_cand))
+        # slow linear progress: near-degenerate targets would otherwise
+        # creep towards their optimum for hundreds of iterations
+        moving = [i for i, (p, f, last) in enumerate(zip(f_prev, f_val, gained)) if p - f > 0.5 * last]
+        step = np.angle(np.exp(1j * (phases[moving] - start[moving]))) if moving else None
+        while moving:
+            candidate = phases[moving] + step
+            cand_unit = np.exp(1j * candidate)
+            cand_gains = procrustes_best_orthogonal((cand_unit[:, :, None] * u_dag).real)
+            f_cand = _objective(cand_gains, cand_unit, gm, u)
+            keep = [c < f_val[i] for i, c in zip(moving, f_cand)]
+            moving, step = list(compress(moving, keep)), 2.0 * step[keep]
+            phases[moving], unit[moving] = candidate[keep], cand_unit[keep]
+            gains[moving] = cand_gains[keep]
+            for i, c in zip(moving, compress(f_cand, keep)):
+                f_val[i] = c
+        gained, live = [p - f for p, f in zip(f_prev, f_val)], []
+        for i, value, gain in zip(range(len(index)), f_val, gained):
+            traces[i].append(value)
+            if (converged := gain < 1e-13 or value < _EXACT_FLOOR) or iteration == max_iters:
+                runs[index[i]] = (value, phases[i], gains[i], traces[i], converged)
+                if value < _EXACT_FLOOR:
+                    del runs[index[i] + 1 :]
+                    break
+            else:
+                live.append(i)
+        if not live:
+            break
+        if len(live) < len(index):
+            phases, unit, gains = phases[live], unit[live], gains[live]
+            index, traces, f_val, gained = ([a[i] for i in live] for a in (index, traces, f_val, gained))
+    return runs
 
 
 def solve_approx(
@@ -271,66 +338,22 @@ def solve_approx(
     falls below the exactness floor 1e-12, which also ends the restarts.
     Restarts draw independent random phase vectors from a generator seeded
     with ``seed``; the best run is returned with its monotone objective
-    trace, and its last objective is the solution's ``residual``.
+    trace, and its last objective is the solution's ``residual``. Restart 0
+    runs alone; if it misses the floor, the rest run in lockstep (one stacked
+    solve or product per step), each bit for bit as if run one by one.
     ``converged`` is False when that run was still improving at
-    ``max_iters``; ``restarts`` and ``max_iters`` must be at least 1 and
-    ``tol`` positive and finite.
+    ``max_iters``; ``restarts`` and ``max_iters`` must be integers of at
+    least 1 and ``tol`` positive and finite.
     """
-    if not 0 < tol < np.inf:
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
-    u, gm = _unitary_pair(u_th, g, max(tol, 1e-8))
+    u, gm = _unitary_pair(u_th, g, 1e-8 if 0 < tol < 1e-8 else tol)
+    _require_count(restarts=restarts, max_iters=max_iters)
     if restarts < 1 or max_iters < 1:
         raise ValidationError(f"need restarts >= 1 and max_iters >= 1, got {restarts}, {max_iters}")
-    n = u.shape[0]
     u_prime = u @ gm.conj().T
-
-    def best_gains(phases):
-        return procrustes_best_orthogonal((np.exp(1j * phases)[:, None] * u_prime.conj().T).real)
-
-    rng = np.random.default_rng(seed)
-    best: tuple | None = None
-    for _ in range(restarts):
-        phases = rng.uniform(0.0, 2.0 * np.pi, n)
-        f_val = gained = np.inf
-        trace: list[float] = []
-        for _ in range(max_iters):
-            f_prev, start = f_val, phases
-            # closed-form gain step
-            candidate = best_gains(phases)
-            f_cand = _objective(candidate, phases, gm, u)
-            if f_cand <= f_val:
-                gains, f_val = candidate, f_cand
-            # closed-form phase step
-            candidate = np.angle(np.diag(gains.T @ u_prime))
-            f_cand = _objective(gains, candidate, gm, u)
-            if f_cand <= f_val:
-                phases, f_val = candidate, f_cand
-            # slow linear progress: near-degenerate targets would otherwise
-            # creep towards their optimum for hundreds of iterations
-            if f_prev - f_val > 0.5 * gained:
-                step = np.angle(np.exp(1j * (phases - start)))
-                while True:
-                    candidate = phases + step
-                    cand_gains = best_gains(candidate)
-                    f_cand = _objective(cand_gains, candidate, gm, u)
-                    if not f_cand < f_val:
-                        break
-                    phases, gains, f_val = candidate, cand_gains, f_cand
-                    step = 2.0 * step
-            gained = f_prev - f_val
-            trace.append(f_val)
-            converged = gained < 1e-13 or f_val < _EXACT_FLOOR
-            if converged:
-                break
-        if best is None or f_val < best[0]:
-            best = (f_val, phases, gains, trace, converged)
-        if best[0] < _EXACT_FLOOR:
-            break
-    f_val, phases, gains, trace, converged = best
+    starts = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (restarts, len(u)))
+    runs = _descend(starts[:1], u, gm, u_prime, max_iters)
+    if runs[0][0] >= _EXACT_FLOOR and restarts > 1:
+        runs += _descend(starts[1:], u, gm, u_prime, max_iters)
+    f_val, phases, gains, trace, converged = min(runs, key=lambda run: run[0])
     solution = SynthesisSolution(delta_lo=DiagonalUnitary(phases), gains=gains, residual=f_val)
-    return ApproxResult(
-        solution=solution,
-        objective_trace=trace,
-        iterations=len(trace),
-        converged=converged,
-    )
+    return ApproxResult(solution, objective_trace=trace, iterations=len(trace), converged=converged)

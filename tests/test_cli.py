@@ -714,6 +714,18 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "plan, field",
+        [({"angles": [np.nan, 0, 0, 0]}, "angles"), ({"gains": [1, np.nan, 1, 1]}, "gains"),
+         ({"offsets": [0, 0, np.inf, 0]}, "offsets")],
+        ids=["nan-angle", "nan-gain", "infinite-offset"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_plan_is_refused(self, tmp_path, capsys, plan, field):
+        code, report = run_command(tmp_path, "simulate", {**IDENTITY_SIMULATION, "plan": plan})
+        assert (code, report) == (1, None)
+        assert f"measurement {field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "doc, message",
         [
             ({"preset": "identity", "modes": {"n": 65}}, "need 1 to 64 flip modes, got 65"),

@@ -103,6 +103,12 @@ class TestSolveA:
         with pytest.raises(ValidationError, match="at least one vertex"):
             path_adjacency(0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_path_needs_an_integer_count(self, n):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            path_adjacency(n)
+        np.testing.assert_array_equal(path_adjacency(np.int64(3)), path_adjacency(3))
+
     def test_empty_graph_rejected(self):
         with pytest.raises(DimensionError):
             solve_a(np.zeros((0, 0)))

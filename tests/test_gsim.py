@@ -362,6 +362,13 @@ class TestSimulateMphd:
         with pytest.raises(error, match=message):
             simulate_mphd(**args)
 
+    @pytest.mark.parametrize("shots", [10.7, 2.0, True, "2", None])
+    def test_shots_must_be_an_integer(self, shots):
+        setup, sol, plan = fourier_pipeline(4)
+        with pytest.raises(ValidationError, match="shots must be an integer"):
+            simulate_mphd(setup, sol, plan, 1.0, shots)
+        assert simulate_mphd(setup, sol, plan, 1.0, np.int64(3), seed=0).shots == 3
+
     def test_composed_pipeline_stays_symplectic(self):
         # each stage map is validated on construction; their product must
         # also preserve the symplectic form

@@ -130,6 +130,19 @@ class TestProcrustes:
         with pytest.raises(DimensionError):
             procrustes_best_orthogonal(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (3,), ()])
+    def test_rejects_non_square_stacks_and_vectors(self, shape):
+        with pytest.raises(DimensionError):
+            procrustes_best_orthogonal(np.ones(shape))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 24])
+    def test_a_stack_equals_its_matrices_bit_for_bit(self, n):
+        b = np.random.default_rng(n).normal(size=(2, 3, n, n))
+        stacked = procrustes_best_orthogonal(b)
+        assert stacked.shape == b.shape
+        for got, one in zip(stacked.reshape(6, n, n), b.reshape(6, n, n)):
+            assert got.tobytes() == procrustes_best_orthogonal(one).tobytes()
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError, match="non-finite"):
             procrustes_best_orthogonal(np.array([[1.0, np.nan], [0.0, 1.0]]))

@@ -119,6 +119,24 @@ class TestMeasurementPlan:
         with pytest.raises(DimensionError, match="at least one mode"):
             MeasurementPlan(angles=angles)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [(f, v) for f in ("angles", "offsets", "gains") for v in (np.nan, np.inf, -np.inf) if (f, v) != ("gains", -np.inf)],
+    )
+    def test_non_finite_entries_are_named(self, field, bad):
+        with pytest.raises(ValidationError, match=f"measurement {field} must be finite"):
+            MeasurementPlan(**{"angles": [0.0, 0.0], field: [1.0, bad]})
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [(lambda: fourier_program(np.inf), "angles"), (lambda: displacement_program(np.nan), "offsets")],
+        ids=["fourier-inf", "displacement-nan"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_programs_refuse_non_finite_parameters(self, build, field):
+        with pytest.raises(ValidationError, match=f"measurement {field} must be finite"):
+            build()
+
     def test_compared_by_identity(self):
         first, second = fourier_program(), fourier_program()
         assert first == first and first.plan == first.plan

@@ -376,9 +376,21 @@ class TestMphdUnitary:
         g = rv.random_orthogonal(rng, n) if layout == "real" else rv.random_unitary(rng, n)
         given = {"C": g, "F": np.asfortranarray(g), "real": g, "list": g.tolist()}[layout]
         expected = (gains * np.exp(1j * phases)) @ g
-        got = _mphd_unitary(gains, phases, given)
+        got = _mphd_unitary(gains, np.exp(1j * phases), given)
         assert got.shape == (n, n) and got.dtype == complex
         assert np.abs(got - expected).max() <= 1e-14 * np.sqrt(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 24])
+    def test_a_stack_equals_its_2d_products_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        gains = np.stack([rv.random_orthogonal(rng, n) for _ in range(5)])
+        unit = np.exp(1j * rng.uniform(-np.pi, np.pi, (5, n)))
+        g = rv.random_unitary(rng, n)
+        for front_end in (g, np.asfortranarray(g)):
+            stacked = _mphd_unitary(gains, unit, front_end)
+            assert stacked.shape == (5, n, n)
+            for k in range(5):
+                assert stacked[k].tobytes() == _mphd_unitary(gains[k], unit[k], front_end).tobytes()
 
     def test_verify_accepts_a_fortran_ordered_front_end(self):
         sol = solve_exact(feasibility(rv.CLUSTER_4, rv.G_LIN4), rv.G_LIN4, rv.CLUSTER_4)
@@ -534,6 +546,17 @@ class TestSolveApprox:
         with pytest.raises(ValidationError, match="restarts >= 1 and max_iters >= 1"):
             solve_approx(CZ2_TARGET, CZ2_G, **counts)
 
+    @pytest.mark.parametrize(
+        "counts", [{"max_iters": 2.5}, {"restarts": True}, {"restarts": 2.0}, {"max_iters": "3"}, {"restarts": None}]
+    )
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            solve_approx(CZ2_TARGET, CZ2_G, **counts)
+
+    def test_numpy_integer_counts(self):
+        given = solve_approx(CZ2_TARGET, CZ2_G, max_iters=np.int32(5), restarts=np.int64(2), seed=1)
+        assert given.objective_trace == solve_approx(CZ2_TARGET, CZ2_G, max_iters=5, restarts=2, seed=1).objective_trace
+
     @staticmethod
     def assert_fixed_point(result, u, g):
         """The returned (O, phases) is a fixed point of both closed-form steps."""
@@ -598,6 +621,139 @@ class TestSolveApprox:
     def test_non_positive_tol_rejected(self, tol):
         with pytest.raises(ValidationError, match="tol must be positive"):
             solve_approx(CZ2_TARGET, CZ2_G, tol=tol)
+
+
+def sequential_solve_approx(u_th, g, max_iters=200, restarts=8, seed=0):
+    """``solve_approx`` with its restarts run one after another, as before they moved into lockstep.
+
+    The objective is ``np.linalg.norm`` of a product that forms ``e^{i phases}`` on every call,
+    and the phase step reads ``np.diag``. Returns ``(objective, phases, gains, trace, converged)``
+    of the best run and the number of restarts that ran.
+    """
+    u, gm = np.asarray(u_th, dtype=complex), np.asarray(g, dtype=complex)
+    u_prime = u @ gm.conj().T
+
+    def objective(gains, phases):
+        delta_g = np.ascontiguousarray(np.exp(1j * phases)[:, None] * gm)
+        return float(np.linalg.norm(np.dot(gains, delta_g.view(float)).view(complex) - u))
+
+    def best_gains(phases):
+        return procrustes_best_orthogonal((np.exp(1j * phases)[:, None] * u_prime.conj().T).real)
+
+    rng = np.random.default_rng(seed)
+    best, ran = None, 0
+    for ran in range(1, restarts + 1):
+        phases = rng.uniform(0.0, 2.0 * np.pi, len(u))
+        f_val = gained = np.inf
+        trace = []
+        for _ in range(max_iters):
+            f_prev, start = f_val, phases
+            candidate = best_gains(phases)
+            f_cand = objective(candidate, phases)
+            if f_cand <= f_val:
+                gains, f_val = candidate, f_cand
+            candidate = np.angle(np.diag(gains.T @ u_prime))
+            f_cand = objective(gains, candidate)
+            if f_cand <= f_val:
+                phases, f_val = candidate, f_cand
+            if f_prev - f_val > 0.5 * gained:
+                step = np.angle(np.exp(1j * (phases - start)))
+                while True:
+                    candidate = phases + step
+                    cand_gains = best_gains(candidate)
+                    f_cand = objective(cand_gains, candidate)
+                    if not f_cand < f_val:
+                        break
+                    phases, gains, f_val = candidate, cand_gains, f_cand
+                    step = 2.0 * step
+            gained = f_prev - f_val
+            trace.append(f_val)
+            converged = gained < 1e-13 or f_val < 1e-12
+            if converged:
+                break
+        if best is None or f_val < best[0]:
+            best = (f_val, phases, gains, trace, converged)
+        if best[0] < 1e-12:
+            break
+    return best, ran
+
+
+def planted(n, seed):
+    """A feasible target ``O . Delta . G`` over a Haar front end."""
+    rng = np.random.default_rng(seed)
+    g = rv.random_unitary(rng, n)
+    return (rv.random_orthogonal(rng, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))[None, :]) @ g, g
+
+
+def near_feasible(n, seed, eps=3e-13):
+    """A planted target moved by ``exp(i eps H)``: some restarts end below the floor, some above."""
+    u, g = planted(n, seed)
+    rng = np.random.default_rng(seed)
+    w, v = np.linalg.eigh(rng.normal(size=(n, n)) + rng.normal(size=(n, n)).T)
+    return u @ (v * np.exp(1j * eps * w)) @ v.T, g
+
+
+def haar(n, seed):
+    rng = np.random.default_rng(700 + n)
+    pairs = [(rv.random_unitary(rng, n), rv.random_unitary(rng, n)) for _ in range(seed + 1)]
+    return pairs[seed][1], pairs[seed][0]
+
+
+def degenerate(layout):
+    rng = np.random.default_rng(5885)
+    g, u = rv.random_unitary(rng, 2), rv.random_unitary(rng, 2)
+    return (u, g) if layout == "C" else (np.asfortranarray(u), np.asfortranarray(g))
+
+
+#: (id, target, front end, optimizer seed): 31 problems, each solved at 9 (max_iters, restarts) pairs
+LOCKSTEP_PROBLEMS = [
+    *((f"cz2-seed{s}", CZ2_TARGET, CZ2_G, s) for s in range(5)),
+    *((f"haar{n}-{k}", *haar(n, k), k) for n, count in ((2, 3), (3, 3), (4, 3), (8, 3), (16, 1)) for k in range(count)),
+    *((f"planted{n}-{k}", *planted(n, k), k) for n, count in ((8, 3), (24, 2)) for k in range(count)),
+    *((f"near-degenerate-5885-{layout}", *degenerate(layout), 0) for layout in "CF"),
+    *((f"near-feasible{n}-{k}", *near_feasible(n, k), k) for n, k in ((3, 1), (3, 4), (3, 7), (4, 2), (4, 10))),
+]
+
+
+class TestLockstepRestarts:
+    """The lockstep restarts return, bit for bit, what the restarts run one by one returned."""
+
+    @pytest.mark.parametrize(
+        "u, g, seed", [p[1:] for p in LOCKSTEP_PROBLEMS], ids=[p[0] for p in LOCKSTEP_PROBLEMS]
+    )
+    def test_bit_identical_to_sequential_restarts(self, u, g, seed):
+        for max_iters, restarts in itertools.product((1, 3, 200), (1, 2, 8)):
+            result = solve_approx(u, g, max_iters=max_iters, restarts=restarts, seed=seed)
+            (f_val, phases, gains, trace, converged), _ = sequential_solve_approx(u, g, max_iters, restarts, seed)
+            sol = result.solution
+            assert sol.gains.tobytes() == gains.tobytes()
+            assert sol.delta_lo.phases.tobytes() == phases.tobytes()
+            assert sol.residual == f_val and result.objective_trace == trace
+            assert (result.iterations, result.converged) == (len(trace), converged)
+            assert sol.residual == result.objective_trace[-1] == np.linalg.norm(sol.unitary(g) - u)
+
+    @pytest.mark.parametrize("n, seed", [(3, 1), (3, 4), (4, 10)])
+    def test_near_feasible_restarts_stop_inside_the_lockstep(self, n, seed):
+        # restart 0 misses the floor and a later one reaches it, so the lockstep drops the rest
+        _, ran = sequential_solve_approx(*near_feasible(n, seed), max_iters=1, restarts=8, seed=seed)
+        assert 1 < ran < 8
+
+    def test_one_stacked_solve_and_product_per_step(self, monkeypatch):
+        """cz2 converges in two iterations from every start: restart 0 alone, then the other 7 stacked.
+
+        Run one after another, the 8 restarts made 16 Procrustes solves and 32 products.
+        """
+        products = TestPrincipalOncePerReport.count_products(monkeypatch)
+        stacks = []
+
+        def counting(b):
+            stacks.append(b.shape)
+            return procrustes_best_orthogonal(b)
+
+        monkeypatch.setattr("mphd.synth.procrustes_best_orthogonal", counting)
+        solve_approx(CZ2_TARGET, CZ2_G, seed=3)
+        assert stacks == [(1, 2, 2)] * 2 + [(7, 2, 2)] * 2
+        assert products == [1] * 4 + [7] * 4
 
 
 class TestGateProgramTieIn:
