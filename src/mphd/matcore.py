@@ -3,8 +3,9 @@
 Conventions used throughout the package:
 
 * complex matrices are plain ``numpy`` arrays (``complex128``);
-* diagonal unitaries are stored as phase vectors (:class:`DiagonalUnitary`),
-  so every diagonal entry has unit modulus by construction (square-root
+* diagonal unitaries are stored as read-only phase vectors (:class:`DiagonalUnitary`),
+  so every diagonal entry has unit modulus by construction and ``e^{i phi}`` is
+  formed once, for a family of branches by one ``np.exp`` per block (square-root
   branches are sign flips of the principal solution in :mod:`mphd.synth`);
 * real orthogonal matrices are plain real arrays validated with
   :func:`is_real_orthogonal`.
@@ -12,7 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -103,39 +105,49 @@ class DiagonalUnitary:
     """Diagonal unitary ``diag(e^{i phi_1}, ..., e^{i phi_N})``.
 
     Phases are stored as angles in radians rather than complex entries, so
-    unit modulus is exact by construction.
+    unit modulus is exact by construction. They are a read-only copy of the
+    caller's array, so the unit diagonal ``e^{i phi}`` is formed at most once:
+    on first use, or for a whole block of rows by ``_diagonal_rows``.
     """
 
-    phases: np.ndarray = field()
+    phases: np.ndarray
 
     def __post_init__(self):
-        phases = np.atleast_1d(np.asarray(self.phases, dtype=float))
+        phases = np.array(self.phases, dtype=float, ndmin=1)
         if phases.ndim != 1:
             raise DimensionError("phases must be a 1-D vector of angles")
         if not np.isfinite(phases).all():
             raise ValidationError("phases contain non-finite values")
+        phases.flags.writeable = False
         object.__setattr__(self, "phases", phases)
+
+    @cached_property
+    def _unit(self) -> np.ndarray:
+        """Read-only ``e^{i phi_k}``, formed on first use."""
+        unit = np.exp(1j * self.phases)
+        unit.flags.writeable = False
+        return unit
 
     @property
     def dim(self) -> int:
         return self.phases.shape[0]
 
     def diagonal(self) -> np.ndarray:
-        """Complex diagonal entries ``e^{i phi_k}``."""
-        return np.exp(1j * self.phases)
+        """Complex diagonal entries ``e^{i phi_k}``, as a fresh writable array."""
+        return self._unit.copy()
 
     def matrix(self) -> np.ndarray:
         """Dense complex matrix representation."""
-        return np.diag(self.diagonal())
+        return np.diag(self._unit)
 
     @classmethod
     def identity(cls, n: int) -> "DiagonalUnitary":
         return cls(np.zeros(n))
 
 
-def _frozen_instances(cls, count: int, *columns) -> list:
-    """``count`` instances of the frozen dataclass ``cls``, one column per field, without __init__."""
-    names, columns = [f.name for f in fields(cls)], [iter(column) for column in columns]
+def _frozen_instances(cls, count: int, **columns) -> list:
+    """``count`` instances of the frozen dataclass ``cls``, one column per attribute, without __init__."""
+    names, columns = list(columns), [iter(column) for column in columns.values()]
     # the first is complete before the rest exist, so all share its keys (compact instance dicts)
     first = object.__new__(cls)
     for name, column in zip(names, columns):
@@ -147,10 +159,12 @@ def _frozen_instances(cls, count: int, *columns) -> list:
 
 
 def _diagonal_rows(phases: np.ndarray) -> list[DiagonalUnitary]:
-    """One :class:`DiagonalUnitary` per row of a 2-D block, checked for finite values once."""
+    """One :class:`DiagonalUnitary` per row of a 2-D block: one finite check and one ``np.exp``."""
     if not np.isfinite(phases).all():
         raise ValidationError("phases contain non-finite values")
-    return _frozen_instances(DiagonalUnitary, len(phases), phases)
+    unit = np.exp(1j * phases)
+    phases.flags.writeable = unit.flags.writeable = False  # the rows share both blocks
+    return _frozen_instances(DiagonalUnitary, len(phases), phases=phases, _unit=unit)
 
 
 def procrustes_best_orthogonal(b) -> np.ndarray:

@@ -40,7 +40,7 @@ def make_setup(g):
 def fourier_pipeline(n):
     """A pipeline with G the n-point DFT, trivial LO phases and gains, and a seeded plan."""
     g = np.fft.fft(np.eye(n)) / np.sqrt(n)
-    sol = SynthesisSolution(DiagonalUnitary.identity(n), np.eye(n), g, 0.0)
+    sol = SynthesisSolution(DiagonalUnitary.identity(n), np.eye(n), residual=0.0)
     rng = np.random.default_rng(n)
     plan = MeasurementPlan(
         angles=rng.uniform(0.0, np.pi, n), offsets=rng.normal(0.0, 1.0, n), gains=rng.uniform(1.0, 2.0, n)

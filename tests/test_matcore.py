@@ -171,3 +171,23 @@ class TestDiagonalUnitary:
         for d, row in zip(rows, block):
             assert np.array_equal(d.phases, DiagonalUnitary(row).phases)
             assert d.dim == 2
+
+    @pytest.mark.parametrize("make", ["init", "rows"])
+    def test_diagonal_is_a_fresh_writable_exp(self, make):
+        phases = np.random.default_rng(5).uniform(-50.0, 50.0, (3, 7))
+        ds = [DiagonalUnitary(p) for p in phases] if make == "init" else _diagonal_rows(phases.copy())
+        for d, p in zip(ds, phases):
+            diagonal = d.diagonal()
+            assert diagonal.tobytes() == np.exp(1j * p).tobytes()
+            diagonal[:] = 0.0
+            assert d.diagonal().tobytes() == np.exp(1j * p).tobytes()
+            assert d.matrix().tobytes() == np.diag(np.exp(1j * p)).tobytes()
+
+    def test_rows_share_read_only_blocks(self):
+        block = np.array([[0.1, 2.0], [-40.0, 0.0]])
+        rows = _diagonal_rows(block)
+        for d in rows:
+            for array in (d.phases, d._unit):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+        assert all(np.shares_memory(d.phases, block) for d in rows)

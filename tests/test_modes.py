@@ -285,6 +285,13 @@ class TestDetectionSetup:
         with pytest.raises(DimensionError, match="2 dephasings given for 4 modes"):
             detection_setup(basis, 0, PixelPartition.equal(4), [0.0, 0.0])
 
+    def test_dephasings_are_copied(self):
+        opo = rv.OPO_LIN4.copy()
+        setup = detection_setup(flip_mode_basis(4), 0, PixelPartition.equal(4), opo)
+        opo[:] = 0.0
+        np.testing.assert_array_equal(setup.delta_opo.phases, rv.OPO_LIN4)
+        assert not setup.delta_opo.phases.flags.writeable
+
 
 class TestBasisFile:
     def test_round_trip(self, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from hypothesis import strategies as st
 import refvals as rv
 from mphd import (
     DiagonalUnitary,
+    PixelPartition,
     cluster_unitary,
+    detection_setup,
     enumerate_solutions,
     feasibility,
+    flip_mode_basis,
     fourier_program,
     linear_cluster_4,
     is_real_orthogonal,
@@ -199,7 +203,8 @@ class TestPrincipalOncePerReport:
         first = solve_exact(report, rv.G_LIN4, rv.CLUSTER_4)
         gains, phases = first.gains.copy(), first.delta_lo.phases.copy()
         first.gains[:] = 0.0
-        first.delta_lo.phases[:] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            first.delta_lo.phases[:] = 0.0
         again = solve_exact(report, rv.G_LIN4, rv.CLUSTER_4)
         assert np.array_equal(again.gains, gains)
         assert np.array_equal(again.delta_lo.phases, phases)
@@ -401,6 +406,83 @@ class TestMphdUnitary:
         forged = dataclasses.replace(sol, gains=sol.gains.astype(complex))
         with pytest.raises(ValidationError, match="gains must be real"):
             verify_solution(forged, rv.CLUSTER_4, rv.G_LIN4)
+
+
+def branch_problems():
+    """(id, front end, planted target): Haar front ends at N = 1, 2, 4, 8, 12 and flip front ends at 4 and 8."""
+    rng = np.random.default_rng(2028)
+    for kind, n in [*(("haar", n) for n in (1, 2, 4, 8, 12)), ("flip", 4), ("flip", 8)]:
+        if kind == "haar":
+            g = rv.random_unitary(rng, n)
+        else:
+            g = detection_setup(flip_mode_basis(n), 0, PixelPartition.equal(n), rng.uniform(0, 2 * np.pi, n)).g
+        u = (rv.random_orthogonal(rng, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))[None, :]) @ g
+        yield f"{kind}{n}", g, u
+
+
+BRANCH_PROBLEMS = list(branch_problems())
+
+
+class TestBranchUnits:
+    """A branch family forms its ``e^{i phi}`` with one ``np.exp``; the products are unchanged bit for bit."""
+
+    @staticmethod
+    def reference_distance(sol, u, g):
+        # verify_solution as it was when every call formed np.exp(1j * phases) itself
+        diff = _mphd_unitary(sol.gains, np.exp(1j * sol.delta_lo.phases), g) - np.asarray(u)
+        return math.sqrt(np.vdot(diff, diff).real)
+
+    @pytest.mark.parametrize("g, u", [p[1:] for p in BRANCH_PROBLEMS], ids=[p[0] for p in BRANCH_PROBLEMS])
+    def test_every_branch_is_bit_identical(self, g, u):
+        report = feasibility(u, g)
+        family = enumerate_solutions(report, g, u)
+        for front_end in (g, np.asfortranarray(g)):
+            for sol in family:
+                unit = np.exp(1j * sol.delta_lo.phases)
+                assert sol.unitary(front_end).tobytes() == _mphd_unitary(sol.gains, unit, front_end).tobytes()
+                assert verify_solution(sol, u, front_end) == self.reference_distance(sol, u, front_end)
+        for sol in family[:: max(1, len(family) // 64)]:
+            diagonal = sol.delta_lo.diagonal()
+            assert diagonal.tobytes() == np.exp(1j * sol.delta_lo.phases).tobytes()
+            assert diagonal.flags.writeable and not sol.delta_lo.phases.flags.writeable
+            single = solve_exact(report, g, u, sol.branch_id)
+            assert single.branch_id == sol.branch_id and single.residual == sol.residual
+            assert single.gains.tobytes() == sol.gains.tobytes()
+            assert single.delta_lo.phases.tobytes() == sol.delta_lo.phases.tobytes()
+            assert single.unitary(g).tobytes() == sol.unitary(g).tobytes()
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_one_exp_per_family(self, monkeypatch, n):
+        g, u = next((g, u) for name, g, u in BRANCH_PROBLEMS if name == f"haar{n}")
+        report = feasibility(u, g)
+        calls, exp = [], np.exp
+
+        def counting(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting)
+        family = enumerate_solutions(report, g, u)
+        assert [shape for shape in calls if len(shape) == 2] == [(2**n, n)]
+        calls.clear()
+        for sol in family:
+            verify_solution(sol, u, g)
+            sol.unitary(g)
+        assert calls == []
+        # the principal branch and its residual are cached, so a second family forms only its block
+        enumerate_solutions(report, g, u)
+        assert calls == [(2**n, n)]
+
+    def test_a_solution_ignores_its_source_array(self):
+        source, gains = np.angle(rv.DELTA_LIN4), rv.O_LIN4
+        sol = SynthesisSolution(delta_lo=DiagonalUnitary(source), gains=gains, residual=0.0)
+        phases, diagonal, product = sol.delta_lo.phases.copy(), sol.delta_lo.diagonal(), sol.unitary(rv.G_LIN4)
+        source[:] = 0.0
+        assert sol.delta_lo.phases.tobytes() == phases.tobytes()
+        assert sol.delta_lo.diagonal().tobytes() == diagonal.tobytes()
+        assert sol.unitary(rv.G_LIN4).tobytes() == product.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            sol.delta_lo.phases[0] = 0.0
 
 
 class TestVerifySolution:
