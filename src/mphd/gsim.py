@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .matcore import _require_count, symplectic_from_unitary
+from .matcore import _generator, _require_count, symplectic_from_unitary
 from .mbqc import GateProgram
 from .modes import DetectionSetup
 from .synth import SynthesisSolution
@@ -209,11 +209,12 @@ def homodyne_measure(state: GaussianState, mode: int, theta: float, rng_seed=Non
     -------
     (record, conditioned_state)
     """
+    _require_count(mode=mode)
     if not 0 <= mode < state.n_modes:
         raise DimensionError(f"mode {mode} out of range for {state.n_modes} modes")
     buf = np.column_stack((state.mean, state.factor))
     m_mean, m_std, gain, dropped = _condition_step(buf, 1, mode, theta)
-    outcome = float(np.random.default_rng(rng_seed).normal(m_mean[0], m_std))
+    outcome = float(_generator(rng_seed, "rng_seed").normal(m_mean[0], m_std))
     buf[:, 0] += gain * outcome
     rest = np.delete(np.delete(buf, [mode, state.n_modes + mode], axis=0), dropped, axis=1)
     return HomodyneRecord(mode, theta, outcome), GaussianState._from_factor(rest[:, 0], rest[:, 1:])
@@ -287,7 +288,7 @@ def simulate_mphd(
         raise ValidationError(f"covariance is not finite at r = {r}")
 
     rows = np.sin(plan.angles)[:, None] * staged[:n] + np.cos(plan.angles)[:, None] * staged[n:]
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     outcomes = rng.standard_normal((shots, n)) @ (np.linalg.qr(rows.T, mode="r") * plan.gains)
     outcomes += plan.offsets
     sample_mean = np.ones(shots) @ outcomes / shots
@@ -308,12 +309,15 @@ def simulate_mphd(
 def export_samples_csv(result: SimulationResult, path) -> None:
     """Write samples as CSV (shot, mode, angle, outcome), 4096 shots a block to bound memory."""
     n = result.outcomes.shape[1]
-    rows = "".join(f"{{0}},{m},{float(result.angles[m])!r},{{{m + 1}!r}}\r\n" for m in range(n))
+    lines = "".join(f"%d,{m},{float(result.angles[m])!r},%r\r\n" for m in range(n))
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write("shot,mode,angle,outcome\r\n")
         for start in range(0, result.shots, 4096):
-            block = result.outcomes[start : start + 4096].tolist()
-            fh.writelines(rows.format(shot, *row) for shot, row in enumerate(block, start))
+            block = result.outcomes[start : start + 4096]
+            values = [None] * (2 * block.size)  # shot number and outcome, interleaved
+            values[::2] = np.repeat(np.arange(start, start + len(block)), n).tolist()
+            values[1::2] = block.ravel().tolist()
+            fh.write(lines * len(block) % tuple(values))
 
 
 @dataclass(frozen=True)
@@ -372,7 +376,7 @@ def run_gate_program(
     squeeze[::n] = 0.0  # the input's columns 0 and n, dropped at the end; ``inputs`` has its factor
     # the mean, its map from the input mean, one gain per outcome (n + 2 columns), then the factor
     buf = np.hstack((s[:, ::n] @ inputs, s * squeeze))
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     recorded, dropped = [], [inputs.shape[1], inputs.shape[1] + n]
     for k in range(n - 1):
         m_mean, m_std, gain, pivots = _condition_step(buf, n + 2, k, 0.0)

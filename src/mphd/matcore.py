@@ -48,6 +48,16 @@ def _require_count(**counts) -> None:
             raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _generator(seed, name: str = "seed") -> np.random.Generator:
+    """``np.random.default_rng(seed)``; a seed it refuses, or a ``bool``, raises ``ValidationError`` naming ``name``."""
+    if not isinstance(seed, bool):
+        try:
+            return np.random.default_rng(seed)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{name} must be a non-negative integer or None, got {seed!r}")
+
+
 def _unitary_residual(arr: np.ndarray) -> float:
     """``||M^dag M - I||_F`` of a square complex array, summed as ``np.linalg.norm`` sums."""
     gram = (arr.conj().T @ arr).ravel()

@@ -12,8 +12,8 @@ check) is built once per :class:`FeasibilityReport`, on first use; the branches
 are one block, sharing one residual per (report, ``G``, ``U_th``) and one
 ``np.exp`` for their ``e^{i phi}``. A solution holds only its parameters, and a
 branch's ``sol.unitary(g)`` is one real GEMM: ``O`` times ``[Re | Im](Delta_LO . G)``.
-Targets that fail the test can still be approximated in Frobenius distance;
-the optimizer's restarts advance in lockstep, with the results of running them one by one.
+Targets that fail the test can still be approximated in Frobenius distance; the optimizer's
+restarts advance in lockstep, all at once if no run can be exact, as if run one by one.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .matcore import (
     DiagonalUnitary,
     _diagonal_rows,
     _frozen_instances,
+    _generator,
     _require_count,
     _unitary_residual,
     as_complex_matrix,
@@ -248,6 +249,8 @@ def verify_solution(sol: SynthesisSolution, u_th, g) -> float:
 
 #: Objective below which an approximate run (and the restart loop) counts as exact.
 _EXACT_FLOOR = 1e-12
+#: No run comes closer than ``(1 - min_k |(U'^T U')_kk|) / 2``; all restarts start at once when that is above the floor.
+_OUT_OF_REACH = 2 * _EXACT_FLOOR
 
 
 def _objective(gains, unit, g, u) -> list:
@@ -277,7 +280,8 @@ def _descend(phases, u, gm, u_prime, max_iters: int) -> list:
         keep = [c <= f for c, f in zip(f_cand, f_val)]
         gains, f_val = _rows(keep, candidate, gains), list(map(min, f_val, f_cand))
         # closed-form phase step
-        candidate = np.angle((gains.transpose(0, 2, 1) @ u_prime).diagonal(0, 1, 2))
+        d = (gains.transpose(0, 2, 1) @ u_prime).diagonal(0, 1, 2)
+        candidate = np.arctan2(d.imag, d.real)
         cand_unit = np.exp(1j * candidate)
         f_cand = _objective(gains, cand_unit, gm, u)
         keep = [c <= f for c, f in zip(f_cand, f_val)]
@@ -339,9 +343,9 @@ def solve_approx(
     falls below the exactness floor 1e-12, which also ends the restarts.
     Restarts draw independent random phase vectors from a generator seeded
     with ``seed``; the best run is returned with its monotone objective
-    trace, and its last objective is the solution's ``residual``. Restart 0
-    runs alone; if it misses the floor, the rest run in lockstep (one stacked
-    solve or product per step), each bit for bit as if run one by one.
+    trace, and its last objective is the solution's ``residual``. Runs go in
+    lockstep, bit for bit as if alone; restart 0 goes first, alone, unless the
+    floor is below ``(1 - min_k |(U'^T U')_kk|) / 2``, which no run can beat.
     ``converged`` is False when that run was still improving at
     ``max_iters``; ``restarts`` and ``max_iters`` must be integers of at
     least 1 and ``tol`` positive and finite.
@@ -351,9 +355,10 @@ def solve_approx(
     if restarts < 1 or max_iters < 1:
         raise ValidationError(f"need restarts >= 1 and max_iters >= 1, got {restarts}, {max_iters}")
     u_prime = u @ gm.conj().T
-    starts = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (restarts, len(u)))
-    runs = _descend(starts[:1], u, gm, u_prime, max_iters)
-    if runs[0][0] >= _EXACT_FLOOR and restarts > 1:
+    starts = _generator(seed).uniform(0.0, 2.0 * np.pi, (restarts, len(u)))
+    head = restarts if 1.0 - np.abs((u_prime * u_prime).sum(axis=0)).min() > _OUT_OF_REACH else 1
+    runs = _descend(starts[:head], u, gm, u_prime, max_iters)
+    if runs[0][0] >= _EXACT_FLOOR and head < restarts:
         runs += _descend(starts[1:], u, gm, u_prime, max_iters)
     f_val, phases, gains, trace, converged = min(runs, key=lambda run: run[0])
     solution = SynthesisSolution(delta_lo=DiagonalUnitary(phases), gains=gains, residual=f_val)

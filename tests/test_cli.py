@@ -740,6 +740,21 @@ class TestUsageErrors:
         assert (code, report) == (1, None)
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, doc, flags",
+        [
+            ("synthesize", {"preset": "cz2", "seed": -1}, []),
+            ("synthesize", {"preset": "cz2"}, ["--seed", "-1"]),
+            ("gate", {"preset": "fourier", "r": 2.0, "seed": -1}, []),
+            ("simulate", {**IDENTITY_SIMULATION, "seed": -1}, []),
+        ],
+        ids=["synthesize", "seed-flag", "gate", "simulate"],
+    )
+    def test_negative_seed_is_named(self, tmp_path, capsys, command, doc, flags):
+        code, report = run_command(tmp_path, command, doc, *flags)
+        assert (code, report) == (1, None)
+        assert f"mphd {command}: error: seed must be a non-negative integer or None, got -1" in capsys.readouterr().err
+
     def test_input_squeezing_without_r_is_named(self, tmp_path, capsys):
         code, report = run_command(tmp_path, "gate", {"preset": "fourier", "input_squeezing": 0.3})
         assert (code, report) == (1, None)

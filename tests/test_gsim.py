@@ -285,6 +285,12 @@ class TestHomodyneMeasure:
         with pytest.raises(DimensionError):
             homodyne_measure(vacuum(2), 5, 0.0)
 
+    @pytest.mark.parametrize("mode", [True, 1.0, "1", None])
+    def test_mode_must_be_an_integer(self, mode):
+        with pytest.raises(ValidationError, match="mode must be an integer"):
+            homodyne_measure(vacuum(2), mode, 0.0)
+        assert homodyne_measure(vacuum(2), np.int64(1), 0.0, rng_seed=0)[0].mode == 1
+
     def test_factor_shapes(self):
         # a measurement drops the mode's two rows and the pivot column; a noiseless one keeps the columns
         state = rectangular_input()
@@ -309,6 +315,30 @@ class TestHomodyneMeasure:
         homodyne_measure(state, 1, 0.7, rng_seed=2)
         np.testing.assert_array_equal(state.mean, mean)
         np.testing.assert_array_equal(state.factor, factor)
+
+
+class TestSeeds:
+    """A seed that ``np.random.default_rng`` refuses, or a ``bool``, raises a ``ValidationError`` naming it."""
+
+    BAD = [-1, 2.5, 1.0, np.float64(2.0), True, "3", [-1]]
+
+    @pytest.mark.parametrize("seed", BAD)
+    def test_every_sampler_names_its_seed(self, seed):
+        setup, sol, plan = fourier_pipeline(4)
+        with pytest.raises(ValidationError, match="^seed must be a non-negative integer or None"):
+            simulate_mphd(setup, sol, plan, 1.0, 2, seed=seed)
+        with pytest.raises(ValidationError, match="^seed must be a non-negative integer or None"):
+            run_gate_program(fourier_program(), squeezed_input(1, 1.0, ["q"]), 2.0, seed=seed)
+        with pytest.raises(ValidationError, match="^rng_seed must be a non-negative integer or None"):
+            homodyne_measure(vacuum(2), 0, 0.0, rng_seed=seed)
+
+    def test_accepted_seeds_draw_as_numpy_does(self):
+        setup, sol, plan = fourier_pipeline(4)
+        for seed in (3, np.int64(3), [3], np.random.SeedSequence(3)):
+            result = simulate_mphd(setup, sol, plan, 1.0, 5, seed=seed)
+            np.testing.assert_array_equal(result.outcomes, simulate_mphd(setup, sol, plan, 1.0, 5, seed=3).outcomes)
+        record, _ = homodyne_measure(vacuum(1), 0, 0.0, rng_seed=np.random.default_rng(4))
+        assert record.outcome == homodyne_measure(vacuum(1), 0, 0.0, rng_seed=4)[0].outcome
 
 
 class TestNullifierVariances:

@@ -32,6 +32,7 @@ from mphd.errors import (
     InternalConsistencyError,
     ValidationError,
 )
+from mphd import synth
 from mphd.synth import SynthesisSolution, _mphd_unitary
 
 CZ2_TARGET = cluster_unitary(np.array([[0.0, 1.0], [1.0, 0.0]])).u
@@ -699,6 +700,11 @@ class TestSolveApprox:
         assert sol.residual <= 1e-12
         assert sol.residual == result.objective_trace[-1] == np.linalg.norm(sol.unitary(g) - u_th)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, np.float64(1.0), True, "0", [-3]])
+    def test_bad_seed_is_named(self, seed):
+        with pytest.raises(ValidationError, match="^seed must be a non-negative integer or None, got"):
+            solve_approx(CZ2_TARGET, CZ2_G, seed=seed)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
     def test_non_positive_tol_rejected(self, tol):
         with pytest.raises(ValidationError, match="tol must be positive"):
@@ -821,7 +827,7 @@ class TestLockstepRestarts:
         assert 1 < ran < 8
 
     def test_one_stacked_solve_and_product_per_step(self, monkeypatch):
-        """cz2 converges in two iterations from every start: restart 0 alone, then the other 7 stacked.
+        """cz2 converges in two iterations from every start, and cannot reach the floor: all 8 stacked.
 
         Run one after another, the 8 restarts made 16 Procrustes solves and 32 products.
         """
@@ -834,8 +840,64 @@ class TestLockstepRestarts:
 
         monkeypatch.setattr("mphd.synth.procrustes_best_orthogonal", counting)
         solve_approx(CZ2_TARGET, CZ2_G, seed=3)
-        assert stacks == [(1, 2, 2)] * 2 + [(7, 2, 2)] * 2
-        assert products == [1] * 4 + [7] * 4
+        assert stacks == [(8, 2, 2)] * 2
+        assert products == [8] * 4
+
+
+def diagonal_bound(u, g):
+    """``(1 - min_k |(U'^T U')_kk|) / 2`` with ``U' = U G^dag``: no ``O . Delta . G`` comes closer to ``U``."""
+    u_prime = u @ g.conj().T
+    return 0.5 * (1.0 - np.abs(np.diag(u_prime.T @ u_prime)).min())
+
+
+class TestRestartSchedule:
+    """A target that provably misses the exactness floor starts all restarts in one block; the rest start
+    with restart 0 alone. The schedule changes only the cost."""
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_diagonal_bound_holds_for_every_gain_and_phase(self, n, seed, t):
+        # X = O Delta has X^T X = Delta^2 and ||X^T X - U'^T U'||_F <= 2 ||X - U'||_F
+        rng = np.random.default_rng(seed)
+        g, o, phases = rv.random_unitary(rng, n), rv.random_orthogonal(rng, n), rng.uniform(0, 2 * np.pi, n)
+        detector = (o * np.exp(1j * phases)[None, :]) @ g
+        w, v = np.linalg.eigh(rng.normal(size=(n, n)) + rng.normal(size=(n, n)).T)
+        slack = 16 * n * np.finfo(float).eps
+        for u in (rv.random_unitary(rng, n), detector @ (v * np.exp(1j * t * w)) @ v.T):
+            found = solve_approx(u, g, restarts=2, seed=seed).solution.unitary(g)
+            for x in (detector, found):
+                assert diagonal_bound(u, g) <= np.linalg.norm(x - u) + slack
+
+    @pytest.mark.parametrize(
+        "u, g, seed", [p[1:] for p in LOCKSTEP_PROBLEMS], ids=[p[0] for p in LOCKSTEP_PROBLEMS]
+    )
+    def test_forced_schedules_agree_bit_for_bit(self, monkeypatch, u, g, seed):
+        pairs = list(itertools.product((1, 3, 200), (1, 2, 8)))
+        runs = {}
+        for schedule, threshold in (("alone", np.inf), ("block", -np.inf)):
+            monkeypatch.setattr("mphd.synth._OUT_OF_REACH", threshold)
+            runs[schedule] = [solve_approx(u, g, max_iters=m, restarts=r, seed=seed) for m, r in pairs]
+        for alone, block in zip(runs["alone"], runs["block"]):
+            assert alone.solution.gains.tobytes() == block.solution.gains.tobytes()
+            assert alone.solution.delta_lo.phases.tobytes() == block.solution.delta_lo.phases.tobytes()
+            assert alone.solution.residual == block.solution.residual
+            assert alone.objective_trace == block.objective_trace
+            assert (alone.iterations, alone.converged) == (block.iterations, block.converged)
+            assert block.solution.residual >= diagonal_bound(u, g) - 16 * len(u) * np.finfo(float).eps
+
+    def test_certificate_picks_the_schedule(self, monkeypatch):
+        blocks = []
+
+        def recording(phases, *args):
+            blocks.append(len(phases))
+            return descend(phases, *args)
+
+        descend = synth._descend
+        monkeypatch.setattr("mphd.synth._descend", recording)
+        solve_approx(CZ2_TARGET, CZ2_G, seed=3)
+        solve_approx(*planted(8, 0), seed=0)
+        solve_approx(*near_feasible(3, 1), max_iters=1, seed=1)
+        assert blocks == [8, 1, 1, 7]
 
 
 class TestGateProgramTieIn:
