@@ -584,7 +584,7 @@ def run(argv=None) -> int:
                 config[key] = {**config.get(key, {}), nested: value} if nested else value
         log.info("running %s with config %s", args.command, args.config)
         report, code = COMMANDS[args.command](config)
-    except (MPHDError, OSError, ValueError, TypeError) as exc:
+    except (MPHDError, OSError, ValueError, TypeError, MemoryError) as exc:
         log.debug("%s failed", args.command, exc_info=True)
         sys.stderr.write(f"mphd {args.command}: error: {exc}\n")
         return 1

@@ -55,7 +55,7 @@ def path_adjacency(n: int) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterSolution:
     """One member of the solution family for a given graph.
 

@@ -14,13 +14,13 @@ local-oscillator global phase 3*pi/2 plus ``theta``.
 States carry a square-root factor ``F`` of their covariance ``F F^T``: ``apply`` maps it
 by a plain symplectic array as ``S F``, homodyne conditioning is one in-place Householder
 reflection of a ``[means | F]`` buffer (``_condition_step``; a gate program runs all its
-steps on one buffer), so chains factor nothing, and samples are the mean plus ``F`` times
-standard normals. A covariance given to ``GaussianState`` must be symmetric and PSD; it
-is factored once. The gate output covariance is within 7e-15 of a 60-digit reference for
-r = 0..20, so within 1 % of its distance to the ideal gate up to r = 16; at r = 20 that
-distance, 4.5e-16, is below this float64 floor. Its mean is formed without e^{r}-sized
-outcomes. Folding the plan gains into the sampling factor moves samples by rounding
-only; CSV bytes are those of ``csv.writer``.
+steps on one buffer), so chains factor nothing. A covariance given to ``GaussianState``
+must be symmetric and PSD; it is factored once. The gate output covariance is within 7e-15
+of a 60-digit reference for r = 0..20, so within 1 % of its distance to the ideal gate up
+to r = 16; at r = 20 that distance, 4.5e-16, is below this float64 floor. Its mean is formed
+without e^{r}-sized outcomes. Samples take one pass over blocks of ``_BLOCK`` values, so
+memory is the outcomes plus one block; the moments are summed before the offsets are added,
+where the sums have zero mean and cancel no digits. CSV bytes are those of ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from .synth import SynthesisSolution
 _R_MAX = math.log(np.finfo(float).max) / 2
 #: Largest covariance and mean distance at which a gate program's run passes.
 _GATE_TOL = 0.1
+#: Values per sampling block (256 KB): a block's normals, outcomes and sums stay in cache.
+_BLOCK = 2**15
 
 
 def _squeezing(r: float, n_modes: int, headroom: float = 0.0) -> np.ndarray:
@@ -231,7 +233,7 @@ def nullifier_variances(state: GaussianState, v) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
     """Sampled and analytic statistics of a multi-pixel measurement run."""
 
@@ -263,10 +265,10 @@ def simulate_mphd(
     The input is a zero-mean p-squeezed product state at parameter ``r``.
     Its factor passes the three pipeline stages ``G``, then ``Delta_LO``,
     then ``O`` as successive symplectic maps; all modes are then measured
-    simultaneously at the plan's angles, through the triangular factor of
-    the measured rows with the plan gains folded in; offsets are added after.
-    The direct covariance (single map from the solution's full unitary) is
-    returned alongside for cross-checking.
+    simultaneously at the plan's angles: block by block, standard normals times
+    the triangular factor of the measured rows, gains folded in, fill the outcomes,
+    whose sums give the sample moments before the offsets are added. The direct
+    covariance (single map from the solution's full unitary) is returned alongside.
     """
     _require_count(shots=shots)
     if shots < 1:
@@ -288,16 +290,24 @@ def simulate_mphd(
         raise ValidationError(f"covariance is not finite at r = {r}")
 
     rows = np.sin(plan.angles)[:, None] * staged[:n] + np.cos(plan.angles)[:, None] * staged[n:]
+    factor = np.linalg.qr(rows.T, mode="r") * plan.gains
     rng = _generator(seed)
-    outcomes = rng.standard_normal((shots, n)) @ (np.linalg.qr(rows.T, mode="r") * plan.gains)
-    outcomes += plan.offsets
-    sample_mean = np.ones(shots) @ outcomes / shots
-    centered = outcomes - sample_mean
+    outcomes, total, gram = np.empty((shots, n)), np.zeros(n), np.zeros((n, n))
+    # a short tail joins the block before it: a GEMM of one or two rows takes another BLAS kernel
+    step = max(_BLOCK // n, 1)
+    stops = [*range(step, shots - step + 1, step), shots]
+    for start, stop in zip([0, *stops], stops):
+        y = outcomes[start:stop]
+        np.matmul(rng.standard_normal((stop - start, n)), factor, out=y)
+        total += np.ones(stop - start) @ y
+        gram += y.T @ y
+        y += plan.offsets
+    mean = total / shots
     return SimulationResult(
         outcomes=outcomes,
         angles=plan.angles.copy(),
-        sample_mean=sample_mean,
-        sample_cov=centered.T @ centered / max(shots - 1, 1),
+        sample_mean=mean + plan.offsets,
+        sample_cov=(gram - shots * np.outer(mean, mean)) / max(shots - 1, 1),
         analytic_mean=plan.offsets.copy(),
         analytic_cov=np.outer(plan.gains, plan.gains) * (rows @ rows.T),
         staged_cov=staged_cov,
@@ -320,7 +330,7 @@ def export_samples_csv(result: SimulationResult, path) -> None:
             fh.write(lines * len(block) % tuple(values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateVerification:
     """Distances of a gate-program run from its intended 2x2 action.
 

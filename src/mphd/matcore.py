@@ -110,7 +110,7 @@ def wrap_angle(phi):
     return np.where(w > np.pi, w - 2 * np.pi, w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalUnitary:
     """Diagonal unitary ``diag(e^{i phi_1}, ..., e^{i phi_N})``.
 

@@ -35,7 +35,7 @@ _COVER_TOL = 1e-9
 _ORTHONORMAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeBasis:
     """A set of orthonormal mode functions, constant on the cells of a uniform grid.
 
@@ -122,7 +122,7 @@ def flip_mode_basis(n_modes: int, domain: tuple[float, float] = DEFAULT_DOMAIN) 
     return ModeBasis((lo, hi), _sequency_walsh_patterns(n_modes) / np.sqrt(hi - lo))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PixelPartition:
     """Contiguous, non-overlapping pixels covering the detector domain."""
 
@@ -184,7 +184,7 @@ def pixel_modes(basis: ModeBasis, lo_index: int, partition: PixelPartition):
     return modes, kappa
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionSetup:
     """The physical front end: detection matrix, input dephasings, and G.
 

@@ -48,7 +48,7 @@ from .matcore import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityReport:
     """Outcome of the exact-synthesis test for one (U_th, G) pair.
 
@@ -88,7 +88,7 @@ class FeasibilityReport:
         return phases, o_complex.real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthesisSolution:
     """One realization ``(Delta_LO, O)`` of a target unitary.
 
@@ -107,7 +107,7 @@ class SynthesisSolution:
         return _mphd_unitary(self.gains, self.delta_lo._unit, g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApproxResult:
     """Best solution found by :func:`solve_approx` plus convergence data."""
 

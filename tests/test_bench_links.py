@@ -108,3 +108,24 @@ def test_cli_reports_pass_the_bench_report_checks(load, monkeypatch, tmp_path):
         "shots": 5000, "seed": 7, "plan": {"angles": [0.3, 1.1, 2.0, 2.9]}, "csv_path": str(tmp_path / "samples.csv"),
     }
     workloads.check_simulate_report(report("simulate", "simulate", config), config, synthesized["lin4"])
+
+
+@pytest.mark.parametrize("n, shots, csv", [(4, 1_000_000, False), (8, 50_000, True), (32, 10_000, True)])
+def test_simulations_at_the_verify_shapes_pass_the_bench_checks(load, monkeypatch, tmp_path, n, shots, csv):
+    # the verify workload's shapes span several sampling blocks; the bench's own gate on them runs here.
+    # Its CSV parser holds one Python list per row, so the 4-million-row export is left to the bench.
+    monkeypatch.syspath_prepend(str(BENCH))
+    checks = load("checks")
+    rng = np.random.default_rng(n)
+    setup = mphd.detection_setup(mphd.flip_mode_basis(n), 0, mphd.PixelPartition.equal(n), rng.uniform(0.0, 2 * np.pi, n))
+    o = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    u = checks.mphd_unitary(o, rng.uniform(-np.pi, np.pi, n), setup.g)
+    sol = mphd.solve_exact(mphd.feasibility(u, setup.g), setup.g, u)
+    plan = mphd.MeasurementPlan(
+        angles=rng.uniform(0.0, np.pi, n), offsets=rng.normal(0.0, 1.0, n), gains=rng.uniform(1.0, 2.0, n)
+    )
+    res = mphd.simulate_mphd(setup, sol, plan, 1.5, shots, seed=n)
+    checks.check_simulation(res, u, plan, 1.5, shots)
+    if csv:
+        mphd.export_samples_csv(res, tmp_path / "samples.csv")
+        checks.check_csv(tmp_path / "samples.csv", res)

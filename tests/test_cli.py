@@ -702,6 +702,8 @@ class TestUsageErrors:
             ("gate", {"preset": "displacement", "target": {"gate": {"s": "1.5"}}}, "config.target.gate.s must"),
             ("synthesize", {"preset": "lin4", "tolerances": {"feasibility": "1e-9"}}, "config.tolerances.feasibility"),
             ("simulate", {**IDENTITY_SIMULATION, "r": None}, "config.r must be a number"),
+            # numpy refuses 1e15 x 4 outcomes (32 PB) at once, without allocating
+            ("simulate", {**IDENTITY_SIMULATION, "shots": 10**15}, "mphd simulate: error: Unable to allocate"),
             *(
                 ("synthesize", {"modes": {"n": 4, "domain": domain}, "target": {"identity": True}}, "config.modes.domain")
                 for domain in ([0], [0, 1, 7], 5)

@@ -1,4 +1,6 @@
+import copy
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,24 +12,30 @@ from mphd import (
     GateProgram,
     GaussianState,
     MeasurementPlan,
+    PixelPartition,
     SimulationResult,
     apply,
+    cluster_unitary,
+    detection_setup,
     displacement_program,
     enumerate_solutions,
     export_samples_csv,
     feasibility,
+    flip_mode_basis,
     fourier_program,
     homodyne_measure,
     nullifier_variances,
     omega,
+    path_adjacency,
     run_gate_program,
     simulate_mphd,
+    solve_approx,
     squeezed_input,
     symplectic_from_unitary,
     vacuum,
 )
 from mphd.errors import DimensionError, ValidationError
-from mphd.gsim import _GATE_TOL
+from mphd.gsim import _BLOCK, _GATE_TOL
 from mphd.modes import DetectionSetup
 from mphd.synth import SynthesisSolution
 
@@ -46,6 +54,14 @@ def fourier_pipeline(n):
         angles=rng.uniform(0.0, np.pi, n), offsets=rng.normal(0.0, 1.0, n), gains=rng.uniform(1.0, 2.0, n)
     )
     return make_setup(g), sol, plan
+
+
+def triangular_factor(setup, plan, r):
+    """Triangular factor of the measured quadratures of ``setup`` at squeezing ``r``, before the gains."""
+    n = plan.n_modes
+    staged = symplectic_from_unitary(setup.g) * np.exp(np.repeat([r, -r], n))
+    rows = np.sin(plan.angles)[:, None] * staged[:n] + np.cos(plan.angles)[:, None] * staged[n:]
+    return np.linalg.qr(rows.T, mode="r")
 
 
 def lin4_solutions():
@@ -491,12 +507,38 @@ class TestSimulateMphd:
         # the gains folded into the factor move the samples by rounding only
         setup, sol, plan = fourier_pipeline(n)
         r, shots, seed = 1.0, 1000, 21
-        staged = symplectic_from_unitary(setup.g) * np.exp(np.repeat([r, -r], n))
-        rows = np.sin(plan.angles)[:, None] * staged[:n] + np.cos(plan.angles)[:, None] * staged[n:]
         z = np.random.default_rng(seed).standard_normal((shots, n))
-        expected = (z @ np.linalg.qr(rows.T, mode="r")) * plan.gains + plan.offsets
+        expected = (z @ triangular_factor(setup, plan, r)) * plan.gains + plan.offsets
         outcomes = simulate_mphd(setup, sol, plan, r, shots, seed=seed).outcomes
         assert np.abs(outcomes - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    # one block, one block +- 1 and +- 2 rows, and several blocks plus a short tail
+    @pytest.mark.parametrize("extra", [-2, -1, 0, 1, 2, "tail"])
+    @pytest.mark.parametrize("n", [1, 4, 7, 32, 64])
+    @pytest.mark.parametrize("r, offset", [(1.0, 0.0), (1.0, 1e3), (10.0, 1e3)])
+    def test_blocked_pass_equals_one_product(self, n, extra, r, offset):
+        # a GEMM of one or two rows rounds differently, so a short tail must join the block before it
+        setup, sol, plan = fourier_pipeline(n)
+        plan = MeasurementPlan(angles=plan.angles, offsets=plan.offsets + offset, gains=plan.gains)
+        step = _BLOCK // n
+        shots, seed = 3 * step + 2 if extra == "tail" else step + extra, n + 100
+        z = np.random.default_rng(seed).standard_normal((shots, n))
+        expected = z @ (triangular_factor(setup, plan, r) * plan.gains) + plan.offsets
+        result = simulate_mphd(setup, sol, plan, r, shots, seed=seed)
+        np.testing.assert_array_equal(result.outcomes, expected)
+        mean, cov = result.outcomes.mean(axis=0), np.atleast_2d(np.cov(result.outcomes, rowvar=False))
+        assert np.abs(result.sample_mean - mean).max() <= 1e-12 * np.abs(mean).max()
+        assert np.abs(result.sample_cov - cov).max() <= 1e-12 * np.abs(cov).max()
+
+    def test_memory_is_the_outcomes_and_one_block(self):
+        setup, sol, plan = fourier_pipeline(4)
+        tracemalloc.start()
+        try:
+            result = simulate_mphd(setup, sol, plan, 1.0, 1_000_000, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= result.outcomes.nbytes + 2**20
 
     def test_csv_export(self, tmp_path):
         setup = make_setup(rv.G_LIN4)
@@ -774,3 +816,26 @@ class TestStateValidation:
     def test_odd_mean_rejected(self):
         with pytest.raises(DimensionError):
             GaussianState(mean=[0.0, 0.0, 0.0], cov=np.eye(3))
+
+
+# a builder per frozen dataclass with array fields; a deep copy holds equal arrays, not the same ones
+RECORDS = {
+    "ClusterSolution": lambda: cluster_unitary(path_adjacency(3)),
+    "DiagonalUnitary": lambda: DiagonalUnitary([0.1, 0.2]),
+    "ModeBasis": lambda: flip_mode_basis(4),
+    "PixelPartition": lambda: PixelPartition.equal(4),
+    "DetectionSetup": lambda: detection_setup(flip_mode_basis(4), 0, PixelPartition.equal(4), [0.0] * 4),
+    "FeasibilityReport": lambda: feasibility(rv.CLUSTER_4, rv.G_LIN4),
+    "SynthesisSolution": lambda: lin4_solutions()[0],
+    "ApproxResult": lambda: solve_approx(np.eye(2), np.eye(2), restarts=1),
+    "SimulationResult": lambda: simulate_mphd(*fourier_pipeline(2), 1.0, 3, seed=0),
+    "GateVerification": lambda: run_gate_program(fourier_program(), squeezed_input(1, 1.0, ["q"]), 1.0, seed=0)[1],
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_array_records_compare_by_identity(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    assert record == record
+    assert (record == copy.deepcopy(record)) is False

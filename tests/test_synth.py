@@ -253,7 +253,9 @@ class TestPrincipalOncePerReport:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 sol.delta_lo.phases = np.zeros(4)
             assert dataclasses.replace(sol.delta_lo).dim == 4
-            assert dataclasses.replace(sol) == sol
+            # records compare by identity; a plain replace copy holds the very same fields
+            same = dataclasses.replace(sol)
+            assert same != sol and all(getattr(same, f.name) is getattr(sol, f.name) for f in dataclasses.fields(sol))
 
 
 class TestEnumerateSolutions:
