@@ -12,20 +12,23 @@ cos(theta) p``, i.e. ``theta = 0`` is a p-hat measurement; this is the
 local-oscillator global phase 3*pi/2 plus ``theta``.
 
 States carry a square-root factor ``F`` of their covariance ``F F^T``: ``apply`` maps it
-by a plain symplectic array as ``S F``, homodyne conditioning is one in-place Householder
-reflection of a ``[means | F]`` buffer (``_condition_step``; a gate program runs all its
-steps on one buffer), so chains factor nothing. A covariance given to ``GaussianState``
-must be symmetric and PSD; it is factored once. The gate output covariance is within 7e-15
-of a 60-digit reference for r = 0..20, so within 1 % of its distance to the ideal gate up
-to r = 16; at r = 20 that distance, 4.5e-16, is below this float64 floor. Its mean is formed
-without e^{r}-sized outcomes. Samples take one pass over blocks of ``_BLOCK`` values, so
-memory is the outcomes plus one block; the moments are summed before the offsets are added,
-where the sums have zero mean and cancel no digits. CSV bytes are those of ``csv.writer``.
+by a plain symplectic array as ``S F``, and homodyne conditioning, on one quadrature or on
+all of a gate program's at once, is one QR of the measured rows (``_condition``), so chains
+factor nothing. ``simulate_mphd`` measures every mode and conditions nothing; it keeps the
+plain R of its rows, as ``_condition``'s sort and signs would move its seeded outcomes. A
+covariance given to ``GaussianState`` must be symmetric and PSD; it is factored once. The
+gate output covariance is within 7e-15 of a 60-digit reference for r = 0..20, so within 1 %
+of its distance to the ideal gate up to r = 16; at r = 20 that distance, 4.5e-16, is below
+this float64 floor. Its mean is formed without e^{r}-sized outcomes. Samples take one pass
+over blocks of ``_BLOCK`` values, so memory is the outcomes plus one block; the moments are
+summed before the offsets are added, where the sums have zero mean and cancel no digits.
+CSV bytes are those of ``csv.writer``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +47,10 @@ _GATE_TOL = 0.1
 _BLOCK = 2**15
 
 
-def _squeezing(r: float, n_modes: int, headroom: float = 0.0) -> np.ndarray:
-    """p-squeezed factor diagonal ``(e^{r}.., e^{-r}..)``; requires 0 <= r <= _R_MAX - headroom."""
-    if not 0.0 <= r <= _R_MAX - headroom:
-        bound = f"[0, {_R_MAX - headroom:.1f}] (negative, or e^{{2r}} non-finite)"
-        raise ValidationError(f"squeezing r = {r} is outside {bound}")
+def _squeezing(r: float, n_modes: int) -> np.ndarray:
+    """p-squeezed factor diagonal ``(e^{r}.., e^{-r}..)``; requires 0 <= r <= _R_MAX."""
+    if not 0.0 <= r <= _R_MAX:
+        raise ValidationError(f"squeezing r = {r} is outside [0, {_R_MAX:.1f}] (negative, or e^{{2r}} non-finite)")
     return np.exp(np.repeat([float(r), -float(r)], n_modes))
 
 
@@ -168,58 +170,53 @@ class HomodyneRecord:
         object.__setattr__(self, "angle", float(np.mod(self.angle, 2 * np.pi)))
 
 
-def _condition_step(buf, n_mean: int, mode: int, theta: float):
-    """Condition ``[mean-like columns | F]`` (covariance ``F F^T``) in place on one quadrature ``w``.
+def _condition(factor, rows):
+    """Condition the kept rows ``factor`` of a state's factor on its m measured ``rows``.
 
-    A Householder reflection maps the row ``w^T F`` onto the column of its
-    largest entry, so a squeezed column's e^{r}-sized entries leave with it
-    instead of cancelling (1e-11 gate error at r = 12 with a fixed column).
-    The outcome's std is ``|w^T F|``, the gain is that column over ``w .
-    column``; zeroing it leaves the conditional factor, and the mean-like
-    columns lose gain times their ``w`` value. The measured rows are zeroed
-    first (gain 0); a zero row gives zero gain. Returns ``(w @ means, std,
-    gain, dropped)``; the caller deletes the measured rows and ``dropped``.
+    Returns ``(L, A, B)`` from one complete QR of ``rows^T``, its columns sorted by their
+    largest entry so that e^{r}-sized entries leave with the first reflection instead of
+    cancelling (unsorted, a gate misses its 60-digit value by 2e-10 at r = 12), and Q's
+    first m columns signed so that ``L = rows Q[:, :m]`` is lower-triangular with a
+    diagonal >= 0. The outcomes are ``mean + L z`` for standard normals ``z``, the kept
+    mean moves by ``A z`` (``A = factor Q[:, :m]``) and ``B = factor Q[:, m:]`` is the
+    conditional factor. A noiseless row of zeros is zero in ``L`` and ``A`` and takes no
+    column from ``B``.
     """
-    n = buf.shape[0] // 2
-    sin, cos = math.sin(theta), math.cos(theta)
-    w_row = sin * buf[mode] + cos * buf[n + mode]
-    buf[mode] = buf[n + mode] = 0.0
-    m_mean, v = w_row[:n_mean], w_row[n_mean:]
-    m_std = math.sqrt(v @ v)
-    if m_std == 0.0:
-        return m_mean, 0.0, np.zeros(2 * n), []
-    pivot = int(np.abs(v).argmax())
-    alpha = -m_std if v[pivot] >= 0 else m_std
-    v[pivot] -= alpha
-    factor = buf[:, n_mean:]
-    factor -= np.multiply.outer(factor @ v, v * (2.0 / (v @ v)))
-    gain = factor[:, pivot] / alpha
-    factor[:, pivot] = 0.0
-    buf[:, :n_mean] -= np.multiply.outer(gain, m_mean)
-    return m_mean, m_std, gain, [n_mean + pivot]
+    seen = rows.any(axis=1)
+    if not seen.all():
+        l_seen, a_seen, b = _condition(factor, rows[seen])
+        l, a = np.zeros((len(rows), len(rows))), np.zeros((len(factor), len(rows)))
+        l[np.ix_(seen, seen)], a[:, seen] = l_seen, a_seen
+        return l, a, b
+    m = len(rows)
+    order = np.argsort(-np.abs(rows).max(axis=0, initial=0.0), kind="stable")
+    q, r = np.linalg.qr(rows[:, order].T, mode="complete")
+    signs = np.where(r.diagonal() < 0, -1.0, 1.0)
+    q[:, :m] *= signs
+    rotated = factor[:, order] @ q
+    return r[:m].T * signs, rotated[:, :m], rotated[:, m:]
 
 
 def homodyne_measure(state: GaussianState, mode: int, theta: float, rng_seed=None):
     """Sample one homodyne outcome and condition the remaining modes.
 
-    The measured quadrature is ``sin(theta) q + cos(theta) p`` on ``mode``;
-    its outcome is drawn from the marginal normal law and the other modes are
-    conditioned on it in square-root form (``_condition_step`` on a copy),
-    with the measured mode removed from the returned state.
-
-    Returns
-    -------
-    (record, conditioned_state)
+    The measured quadrature is ``sin(theta) q + cos(theta) p`` on ``mode``; its outcome
+    is drawn from the marginal normal law and the other modes are conditioned on it in
+    square-root form (the one-row case of ``_condition``). Returns ``(record,
+    conditioned_state)``, the measured mode removed from the state.
     """
     _require_count(mode=mode)
-    if not 0 <= mode < state.n_modes:
-        raise DimensionError(f"mode {mode} out of range for {state.n_modes} modes")
-    buf = np.column_stack((state.mean, state.factor))
-    m_mean, m_std, gain, dropped = _condition_step(buf, 1, mode, theta)
-    outcome = float(_generator(rng_seed, "rng_seed").normal(m_mean[0], m_std))
-    buf[:, 0] += gain * outcome
-    rest = np.delete(np.delete(buf, [mode, state.n_modes + mode], axis=0), dropped, axis=1)
-    return HomodyneRecord(mode, theta, outcome), GaussianState._from_factor(rest[:, 0], rest[:, 1:])
+    if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not math.isfinite(theta):
+        raise ValidationError(f"theta must be a finite real number, got {theta!r}")
+    n = state.n_modes
+    if not 0 <= mode < n:
+        raise DimensionError(f"mode {mode} out of range for {n} modes")
+    sin, cos, f, keep = math.sin(theta), math.cos(theta), state.factor, np.arange(2 * n) % n != mode
+    l, a, b = _condition(f[keep], (sin * f[mode] + cos * f[n + mode])[None])
+    z = _generator(rng_seed, "rng_seed").standard_normal()
+    outcome = float(sin * state.mean[mode] + cos * state.mean[n + mode] + l[0, 0] * z)
+    mean = state.mean[keep] + a[:, 0] * z
+    return HomodyneRecord(mode, theta, outcome), GaussianState._from_factor(mean, b)
 
 
 def nullifier_variances(state: GaussianState, v) -> np.ndarray:
@@ -269,6 +266,8 @@ def simulate_mphd(
     the triangular factor of the measured rows, gains folded in, fill the outcomes,
     whose sums give the sample moments before the offsets are added. The direct
     covariance (single map from the solution's full unitary) is returned alongside.
+    Nothing is conditioned, so the factor is the plain R of ``np.linalg.qr``, not
+    ``_condition``'s: its column sort and signs would change the seeded outcomes.
     """
     _require_count(shots=shots)
     if shots < 1:
@@ -349,58 +348,41 @@ class GateVerification:
     passed: bool
 
 
-def run_gate_program(
-    program: GateProgram,
-    input_state: GaussianState,
-    r: float,
-    seed=None,
-):
+def run_gate_program(program: GateProgram, input_state: GaussianState, r: float, seed=None):
     """Execute a measurement program on (input + cluster) and verify the gate.
 
     Prepares the factor of the register of ``program.plan.n_modes`` modes (the input
     mode first, then p-squeezed cluster modes at ``r``) under the program's cached
-    symplectic map, measures p-hat on every mode but the last, conditioning one buffer
-    in place after each, and applies outcome feedforward to the surviving mode's mean.
-    The feedforward uses the exact conditional gains, so the corrected output mean is
-    deterministic: the accumulated linear map applied to the initial means, minus the
-    displacement contributed by the plan offsets.
+    symplectic map, measures p-hat on every mode but the last, conditioning on all of
+    them at once (one ``_condition``, no loop), and applies outcome feedforward to the
+    surviving mode's mean. The feedforward uses the exact conditional gains ``K = A
+    L^{-1}``, so the corrected output mean is deterministic: the input transfer applied
+    to the input mean, minus the displacement contributed by the plan offsets.
 
-    Returns
-    -------
-    (output_state, verification)
-        ``output_state`` is the corrected single-mode Gaussian;
-        ``verification`` compares it against ``program.target_gate`` applied
-        to the input state, flagging ``passed`` when both the covariance and
-        the mean distance are within ``_GATE_TOL``.
+    Returns ``(output_state, verification)``: the corrected single-mode Gaussian, and
+    its comparison with ``program.target_gate`` applied to the input state, ``passed``
+    when both the covariance and the mean distance are within ``_GATE_TOL``.
     """
     if input_state.n_modes != 1:
         raise DimensionError("input preparation must be a single-mode state")
     plan, n = program.plan, program.plan.n_modes
-    # S has unit-norm rows, so a conditioning step's Householder vector has a
-    # squared norm of up to 4 e^{2r}; keep that finite, not only e^{2r}
-    squeeze = _squeezing(r, n, math.log(2))
+    squeeze = _squeezing(r, n - 1)  # the cluster's modes; the input mode has its own factor
     s = program._symplectic
     if s.shape != (2 * n, 2 * n):
         raise DimensionError(f"program unitary acts on {s.shape[0] // 2} modes, its plan on {n}")
-    inputs = np.column_stack((input_state.mean, np.eye(2), np.zeros((2, n - 1)), input_state.factor))
-    squeeze[::n] = 0.0  # the input's columns 0 and n, dropped at the end; ``inputs`` has its factor
-    # the mean, its map from the input mean, one gain per outcome (n + 2 columns), then the factor
-    buf = np.hstack((s[:, ::n] @ inputs, s * squeeze))
     rng = _generator(seed)
-    recorded, dropped = [], [inputs.shape[1], inputs.shape[1] + n]
-    for k in range(n - 1):
-        m_mean, m_std, gain, pivots = _condition_step(buf, n + 2, k, 0.0)
-        raw = float(rng.normal(m_mean[0], m_std))
-        recorded.append(plan.gains[k] * raw + plan.offsets[k])
-        buf[:, 0] += gain * raw
-        buf[:, 3 + k] = gain
-        dropped += pivots
-    tracked = np.delete(buf[n - 1 :: n], dropped, axis=1)  # the output mode, without zeroed columns
-    # equal to tracked[:, 0] - K recorded, without cancelling outcomes of size e^{r}
-    offset_displacement = -tracked[:, 3 : n + 2] / plan.gains[:-1] @ plan.offsets[:-1]
-    input_transfer = tracked[:, 1:3]
+    transfer = s[:, ::n]  # from the input mean to the register's mean
+    factor = np.hstack((transfer @ input_state.factor, np.delete(s, [0, n], axis=1) * squeeze))
+    l, a, b = _condition(factor[n - 1 :: n], factor[n : 2 * n - 1])
+    # the outcome gains K = A L^{-1}; a noiseless outcome's gain is 0
+    k = np.linalg.solve(l.T + np.diag(l.diagonal() == 0.0), a.T).T
+    measured = transfer[n : 2 * n - 1]
+    raw = measured @ input_state.mean + l @ rng.standard_normal(n - 1)
+    input_transfer = transfer[n - 1 :: n] - k @ measured
+    # equal to the conditional mean minus K recorded, without cancelling outcomes of size e^{r}
+    offset_displacement = -k / plan.gains[:-1] @ plan.offsets[:-1]
     output_mean = input_transfer @ input_state.mean + offset_displacement
-    output = GaussianState._from_factor(output_mean, tracked[:, n + 2 :])
+    output = GaussianState._from_factor(output_mean, b)
 
     target = np.asarray(program.target_gate, dtype=float)
     target_cov = target @ input_state.cov @ target.T
@@ -413,7 +395,7 @@ def run_gate_program(
         mean_distance=mean_distance,
         offset_displacement=offset_displacement,
         input_transfer=input_transfer,
-        outcomes=np.asarray(recorded),
+        outcomes=plan.gains[:-1] * raw + plan.offsets[:-1],
         passed=bool(cov_distance <= _GATE_TOL and mean_distance <= _GATE_TOL),
     )
     return output, verification

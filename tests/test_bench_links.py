@@ -54,11 +54,12 @@ def test_fourier_gate_matches_decimal_oracle(load):
         assert np.linalg.norm(output.cov - reference) <= 1e-14, f"r = {r}"
 
 
-def test_chain_built_as_the_bench_builds_it_passes_its_check(load, monkeypatch):
-    # the call shapes of the bench's homodyne chains: an API change fails here, not only there
+@pytest.mark.parametrize("n", [6, 8, 12, 16])
+def test_chain_built_as_the_bench_builds_it_passes_its_check(load, monkeypatch, n):
+    # the call shapes of the bench's homodyne chains (its verify workload runs n = 8, 12, 16):
+    # an API or accuracy change fails here, not only there
     monkeypatch.syspath_prepend(str(BENCH))
     checks = load("checks")
-    n = 6
     u = mphd.cluster_unitary(mphd.path_adjacency(n)).u
     state = mphd.apply(mphd.symplectic_from_unitary(u), mphd.squeezed_input(n, 1.0))
     s = checks.symplectic(u)

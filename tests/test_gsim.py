@@ -35,7 +35,7 @@ from mphd import (
     vacuum,
 )
 from mphd.errors import DimensionError, ValidationError
-from mphd.gsim import _BLOCK, _GATE_TOL
+from mphd.gsim import _BLOCK, _GATE_TOL, _R_MAX, _condition
 from mphd.modes import DetectionSetup
 from mphd.synth import SynthesisSolution
 
@@ -72,9 +72,10 @@ def lin4_solutions():
 def joint_conditioning_oracle(program, input_state, r):
     """Independent all-at-once conditioning of the three measured p-hats.
 
-    One joint Schur complement of the register before any measurement (the
-    regression of ``bench/checks.check_chain``) instead of the simulator's
-    sequential Householder steps. Returns ``(transfer, k_matrix, cov, mean,
+    One joint Schur complement of the register's covariance before any
+    measurement (the regression of ``bench/checks.check_chain``), formed from
+    ``cov`` itself rather than from the factor the simulator's one sorted QR
+    (``_condition``) rotates. Returns ``(transfer, k_matrix, cov, mean,
     w, scale)``: the map from the initial means to the output mean, the
     outcome gains, the output covariance, the joint mean, the measured rows
     and the largest entry of the joint covariance.
@@ -307,8 +308,14 @@ class TestHomodyneMeasure:
             homodyne_measure(vacuum(2), mode, 0.0)
         assert homodyne_measure(vacuum(2), np.int64(1), 0.0, rng_seed=0)[0].mode == 1
 
+    @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan, "0.3", None, True])
+    def test_theta_must_be_a_finite_real(self, theta):
+        with pytest.raises(ValidationError, match="theta must be a finite real number"):
+            homodyne_measure(vacuum(2), 0, theta)
+        assert homodyne_measure(vacuum(2), 0, np.float64(0.3), rng_seed=0)[0].angle == 0.3
+
     def test_factor_shapes(self):
-        # a measurement drops the mode's two rows and the pivot column; a noiseless one keeps the columns
+        # a measurement drops the mode's two rows and one column; a noiseless one keeps the columns
         state = rectangular_input()
         _, rest = homodyne_measure(apply(symplectic_from_unitary(rv.CLUSTER_4), squeezed_input(4, 1.0)), 2, 0.3)
         assert rest.factor.shape == (6, 7)
@@ -325,12 +332,76 @@ class TestHomodyneMeasure:
         assert record.outcome == pytest.approx(1e50, rel=1e-12)
         assert rest.factor.shape == (0, 1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_squeezing_cap_measures_without_overflow(self):
+        # the measured row's entry e^{r} squares to the largest float: no step may square it twice over
+        record, rest = homodyne_measure(squeezed_input(2, _R_MAX), 0, np.pi / 3, rng_seed=3)
+        assert np.isfinite(record.outcome) and abs(record.outcome) > 1e150
+        np.testing.assert_allclose(np.abs(rest.factor).max(axis=1), np.exp([_R_MAX, -_R_MAX]), rtol=1e-12)
+
     def test_input_state_is_left_unchanged(self):
         state = apply(symplectic_from_unitary(rv.CLUSTER_4), squeezed_input(4, 1.0))
         mean, factor = state.mean.copy(), state.factor.copy()
         homodyne_measure(state, 1, 0.7, rng_seed=2)
         np.testing.assert_array_equal(state.mean, mean)
         np.testing.assert_array_equal(state.factor, factor)
+
+
+def measured_rows(n, modes, angles):
+    """Rows of the quadratures ``sin(theta) q + cos(theta) p`` of ``modes`` in an ``n``-mode register."""
+    w = np.zeros((len(modes), 2 * n))
+    w[np.arange(len(modes)), modes] = np.sin(angles)
+    w[np.arange(len(modes)), np.add(modes, n)] = np.cos(angles)
+    return w
+
+
+class TestCondition:
+    """``_condition`` against the joint Schur complement of the measured quadratures."""
+
+    @staticmethod
+    def joint(factor, w, keep):
+        """``(C_mm, C_km, regression K, Schur complement)`` of the covariance ``factor factor^T``."""
+        cov = factor @ factor.T
+        c_mm, c_km = w @ cov @ w.T, cov[keep] @ w.T
+        k = np.linalg.solve(c_mm, c_km.T).T
+        return c_mm, c_km, k, cov[np.ix_(keep, keep)] - k @ c_km.T
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("r", [0.0, 1.0, 3.0])
+    def test_matches_joint_schur_complement(self, n, r):
+        rng = np.random.default_rng(int(10 * n + r))
+        state = apply(symplectic_from_unitary(rv.random_unitary(rng, n)), squeezed_input(n, r))
+        factor = np.hstack((state.factor, rng.normal(size=(2 * n, 2))))  # rectangular, and not pure
+        for m in range(1, n):
+            modes = rng.permutation(n)
+            w = measured_rows(n, modes[:m], rng.uniform(0.0, 2 * np.pi, m))
+            keep = np.sort(np.r_[modes[m:], modes[m:] + n])
+            l, a, b = _condition(factor[keep], w @ factor)
+            c_mm, c_km, k, schur = self.joint(factor, w, keep)
+            scale = np.abs(factor @ factor.T).max()
+            assert l.shape == (m, m) and a.shape == (keep.size, m) and b.shape == (keep.size, factor.shape[1] - m)
+            np.testing.assert_array_equal(np.triu(l, 1), 0.0)
+            assert (l.diagonal() > 0.0).all()
+            assert np.abs(l @ l.T - c_mm).max() <= 1e-12 * scale
+            assert np.abs(a @ l.T - c_km).max() <= 1e-12 * scale
+            assert np.abs(np.linalg.solve(l.T, a.T).T - k).max() <= 1e-12 * max(1.0, np.abs(k).max())
+            assert np.abs(b @ b.T - schur).max() <= 1e-12 * scale
+
+    def test_noiseless_row_conditions_nothing(self):
+        # the middle row of three carries no noise: zero in L and A, and B keeps the column it would take
+        factor = np.random.default_rng(5).normal(size=(6, 7))
+        factor[4] = 0.0  # p_1
+        w, keep = measured_rows(3, [0, 1, 2], [0.3, 0.0, 1.2]), [3, 5]
+        l, a, b = _condition(factor[keep], w @ factor)
+        np.testing.assert_array_equal(l[1], 0.0)
+        np.testing.assert_array_equal(l[:, 1], 0.0)
+        np.testing.assert_array_equal(a[:, 1], 0.0)
+        assert (l[[0, 2], [0, 2]] > 0.0).all() and b.shape == (2, 5)
+        c_mm, _, _, schur = self.joint(factor, w[[0, 2]], keep)
+        scale = np.abs(factor @ factor.T).max()
+        assert np.abs(l[np.ix_([0, 2], [0, 2])] @ l[np.ix_([0, 2], [0, 2])].T - c_mm).max() <= 1e-12 * scale
+        assert np.abs(b @ b.T - schur).max() <= 1e-12 * scale
+        assert [x.shape for x in _condition(factor[[]], w @ factor)] == [(3, 3), (0, 3), (0, 5)]
 
 
 class TestSeeds:
@@ -735,6 +806,15 @@ class TestRunGateProgram:
         assert np.abs(out.mean - corrected).max() <= 1e-13 * (1 + np.abs(raw).max())
         assert out.factor.shape == (2, state.factor.shape[1] + 3)
 
+    def test_noiseless_outcome_has_no_gain(self):
+        # the identity program measures the input's p, which has no noise: it conditions nothing
+        program = GateProgram(MeasurementPlan(angles=[0.0] * 4), np.eye(2), np.eye(4))
+        out, ver = run_gate_program(program, GaussianState([0.3, 0.7], np.diag([1.0, 0.0])), 2.0, seed=1)
+        assert ver.outcomes[0] == 0.7
+        np.testing.assert_array_equal(ver.input_transfer, 0.0)
+        np.testing.assert_allclose(out.cov, np.diag(np.exp([4.0, -4.0])), rtol=1e-14)
+        assert out.factor.shape == (2, 6)
+
     def test_program_map_is_built_once(self):
         u = fourier_program().u_th.copy()
         program = GateProgram(MeasurementPlan(angles=[0.0] * 4), FOURIER_GATE, u)
@@ -769,15 +849,18 @@ class TestRunGateProgram:
         with pytest.raises(ValidationError, match="squeezing r = -1.0 is outside"):
             run_gate_program(fourier_program(), vacuum(1), -1.0)
 
-    @pytest.mark.parametrize("r", [400.0, 354.8, 354.6, np.inf, np.nan])
+    @pytest.mark.parametrize("r", [400.0, np.inf, np.nan])
     @pytest.mark.filterwarnings("error")
     def test_rejects_squeezing_that_overflows_before_exponentiating(self, r):
         with pytest.raises(ValidationError, match="non-finite"):
             run_gate_program(fourier_program(), vacuum(1), r)
 
+    @pytest.mark.parametrize("r", [354.0, 354.6, 354.8, _R_MAX])
     @pytest.mark.filterwarnings("error")
-    def test_passes_just_below_the_squeezing_cap(self):
-        _, check = run_gate_program(fourier_program(), squeezed_input(1, 1.0), 354.0)
+    def test_passes_just_below_the_squeezing_cap(self, r):
+        # the simulator's own cap: e^{2r} is finite, and the QR's scaled norms square no e^{r}-sized entry
+        out, check = run_gate_program(fourier_program(), squeezed_input(1, 1.0), r)
+        assert np.isfinite(out.cov).all() and np.isfinite(check.outcomes).all()
         assert check.passed
 
     def test_rejects_plan_of_another_size(self):
