@@ -23,10 +23,11 @@ on the synthesized detector when ``r`` is given. Report builders put arrays
 in the report as they are; ``_write_report`` encodes them with
 :func:`mat_to_json` (complex arrays as ``{"re", "im"}``, real arrays as
 nested lists) and stamps each report with ``schema_version``, ``command``
-and ``timing``. The detector ``u_t`` and ``g``, the target, the feasibility
-``D``, each solution's ``Delta_LO`` and gains and the cluster's ``A``, ``X_s``
-and ``U`` also carry a 2-decimal display block. ``simulate`` writes a CSV of
-its samples only when the config names a ``csv_path``. Exit codes:
+and ``timing``. Each value is written once, in the block that owns it:
+``Delta_LO`` as each solution's ``phases``, the tolerance as
+``feasibility.tol`` and a gate's angles and offsets in ``program``.
+``simulate`` writes a CSV of its samples only when the config names a
+``csv_path``. Exit codes:
 0 success, 2 infeasible target in ``synthesize`` or ``gate`` (with the best
 approximate result still reported), 1 usage or validation error; ``cluster``
 and ``simulate`` never exit 2.
@@ -158,25 +159,27 @@ def mat_to_json(obj):
 
 
 def mat_from_json(doc, context: str = "matrix") -> np.ndarray:
+    """Decode ``{"re", "im"}`` (``im`` optional) into a complex array; errors name ``context``."""
     if not isinstance(doc, dict) or "re" not in doc:
         raise ConfigError(f"{context} must be an object with 're' (and optional 'im') arrays")
-    re = np.asarray(doc["re"], dtype=float)
-    im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
-    if re.shape != im.shape:
+    re, im = (_real_array(doc.get(key, 0.0), f"{context}.{key}") for key in ("re", "im"))
+    if "im" in doc and re.shape != im.shape:
         raise ConfigError(f"{context}: 're' and 'im' shapes differ")
     return re + 1j * im
 
 
-def mat_display(m) -> list:
-    arr = np.atleast_2d(np.asarray(m, dtype=complex))
-    rows = []
-    for row in arr:
-        rows.append([f"{v.real:+.2f}{v.imag:+.2f}j" for v in row])
-    return rows
+def _real_array(value, where: str) -> np.ndarray:
+    """Nested lists of JSON numbers (not booleans or strings) as a float array."""
+    try:
+        if _all_numbers(value):
+            return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError):  # ragged nesting, an integer beyond float
+        pass
+    raise ConfigError(f"{where} must be a rectangular array of numbers")
 
 
-def _matrix_echo(m) -> dict:
-    return {"matrix": m, "display": mat_display(m)}
+def _all_numbers(value) -> bool:
+    return all(map(_all_numbers, value)) if isinstance(value, list) else type(value) in (int, float)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +227,7 @@ def _resolve_detection(config):
             mat_from_json(config["detection"]["matrix"], "detection.matrix"), "detection.matrix"
         )
         setup = modes.DetectionSetup(u_t=g, delta_opo=DiagonalUnitary.identity(g.shape[1]), g=g)
-        return setup, {"detection": _matrix_echo(g)}
+        return setup, {"detection": {"matrix": g}}
     if "modes" not in config:
         unread = sorted({"pixels", "opo_phases"} & set(config))
         raise ConfigError(
@@ -265,9 +268,7 @@ def _resolve_detection(config):
         "pixels": {"boundaries": partition.boundaries},
         "opo_phases": setup.delta_opo.phases,
         "u_t": setup.u_t.astype(complex),  # {"re", "im"} for a real basis too
-        "u_t_display": mat_display(setup.u_t),
         "g": setup.g,
-        "g_display": mat_display(setup.g),
     }
     return setup, echo
 
@@ -310,11 +311,11 @@ def _resolve_target(config, g):
         return np.asarray(g, dtype=complex).copy(), {"identity": True}, None
     if "matrix" in tdoc:
         u = mat_from_json(tdoc["matrix"], "target.matrix")
-        return u, _matrix_echo(u), None
+        return u, {"matrix": u}, None
     if "graph" in tdoc:
         v = _graph_adjacency(tdoc["graph"])
         u = cluster_mod.cluster_unitary(v).u
-        return u, {"graph": {"adjacency": v}, **_matrix_echo(u)}, None
+        return u, {"graph": {"adjacency": v}, "matrix": u}, None
     if "gate" not in tdoc:
         given = "config.target.identity is false; " if "identity" in tdoc else ""
         raise ConfigError(f"{given}target needs one of: {', '.join(sorted(_NESTED_KEYS['target']))}")
@@ -325,18 +326,11 @@ def _resolve_target(config, g):
         program = mbqc.displacement_program(float(tdoc["gate"].get("s", 0.0)), theta_3)
     else:
         raise ConfigError(f"unknown gate name {name!r}; available: fourier, displacement")
-    echo = {"name": name, "angles": program.plan.angles, "offsets": program.plan.offsets}
-    return program.u_th, {"gate": echo, **_matrix_echo(program.u_th)}, program
+    return program.u_th, {"gate": {"name": name}, "matrix": program.u_th}, program
 
 
 def _solution_to_json(sol: synth.SynthesisSolution) -> dict:
-    doc = {
-        "phases": sol.delta_lo.phases,
-        "delta_diag": sol.delta_lo.diagonal()[None, :],
-        "delta_display": mat_display(sol.delta_lo.diagonal())[0],
-        "gains": sol.gains,
-        "gains_display": mat_display(sol.gains),
-    }
+    doc = {"phases": sol.delta_lo.phases, "gains": sol.gains}
     if np.isfinite(sol.residual):
         doc["residual"] = sol.residual
     if sol.branch_id is not None:
@@ -401,7 +395,7 @@ def cmd_synthesize(config: dict) -> tuple[dict, int]:
     setup, det_echo = _resolve_detection(config)
     g = setup.g
     u_th, target_echo, program = _resolve_target(config, g)
-    report: dict = {"config": {**det_echo, "target": target_echo, "tolerance": tol}}
+    report: dict = {"config": {**det_echo, "target": target_echo}}
     fre = synth.feasibility(u_th, g, tol)
     report["feasibility"] = {
         "feasible": fre.feasible,
@@ -409,7 +403,6 @@ def cmd_synthesize(config: dict) -> tuple[dict, int]:
         "modulus_residual": fre.modulus_residual,
         "tol": fre.tol,
         "d_candidate": fre.d_candidate,
-        "d_display": mat_display(fre.d_candidate),
     }
     if fre.feasible:
         if config.get("branch") is not None:
@@ -468,12 +461,9 @@ def cmd_cluster(config: dict) -> tuple[dict, int]:
     report = {
         "config": {"graph": {"adjacency": v}},
         "a": solution.a,
-        "a_display": mat_display(solution.a),
         "x_s": solution.x_s,
-        "x_s_display": mat_display(solution.x_s),
         "freedom": solution.orthogonal_freedom,
         "u": solution.u,
-        "u_display": mat_display(solution.u),
         "validation": dataclasses.asdict(validation),
     }
     return report, 0

@@ -384,7 +384,7 @@ def run_gate_program(program: GateProgram, input_state: GaussianState, r: float,
     output_mean = input_transfer @ input_state.mean + offset_displacement
     output = GaussianState._from_factor(output_mean, b)
 
-    target = np.asarray(program.target_gate, dtype=float)
+    target = program.target_gate
     target_cov = target @ input_state.cov @ target.T
     target_mean = target @ input_state.mean + offset_displacement
     # hypot scales by the largest entry: squares beyond float64 (input r > ~177) do not overflow

@@ -113,6 +113,15 @@ class GateProgram:
     name: str = ""
 
     def __post_init__(self):
+        try:
+            gate = np.asarray(self.target_gate)
+        except ValueError:  # ragged nesting
+            raise DimensionError("target_gate must be 2x2, got a ragged array") from None
+        if gate.shape != (2, 2):
+            raise DimensionError(f"target_gate must be 2x2, got shape {gate.shape}")
+        if gate.dtype.kind not in "iuf" or not np.isfinite(gate).all():
+            raise ValidationError("target_gate must be a finite real 2x2 array")
+        object.__setattr__(self, "target_gate", gate.astype(float))
         object.__setattr__(self, "u_th", np.array(self.u_th, dtype=complex))
         self.u_th.flags.writeable = False
 

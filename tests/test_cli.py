@@ -373,7 +373,7 @@ class TestGate:
         np.testing.assert_allclose(u_th, rv.GATE_TARGET, atol=1e-12)
         assert len(report["solutions"]) == 16
         deltas = [
-            np.abs(mat_from_json(s["delta_diag"])[0] - rv.DELTA_GATE).max()
+            np.abs(np.exp(1j * np.asarray(s["phases"])) - rv.DELTA_GATE).max()
             for s in report["solutions"]
         ]
         assert min(deltas) <= 1e-12
@@ -702,6 +702,15 @@ class TestUsageErrors:
             ("gate", {"preset": "displacement", "target": {"gate": {"s": "1.5"}}}, "config.target.gate.s must"),
             ("synthesize", {"preset": "lin4", "tolerances": {"feasibility": "1e-9"}}, "config.tolerances.feasibility"),
             ("simulate", {**IDENTITY_SIMULATION, "r": None}, "config.r must be a number"),
+            ("synthesize", {"preset": "lin4", "target": {"matrix": {"re": "x"}}}, "target.matrix.re must be a rectangular"),
+            ("synthesize", {"preset": "lin4", "target": {"matrix": {"re": [[1, 0], [0]]}}}, "target.matrix.re must be"),
+            (
+                "synthesize",
+                {**IDENTITY_DETECTION, "detection": {"matrix": {"re": np.eye(2).tolist(), "im": [["0", 0], [0, 0]]}}},
+                "detection.matrix.im must be a rectangular",
+            ),
+            ("synthesize", {**IDENTITY_DETECTION, "detection": {"matrix": {"re": [[1, 0], [True, 1]]}}}, "detection.matrix.re must"),
+            ("synthesize", {**IDENTITY_DETECTION, "detection": {"matrix": {"re": [[1, 0], [0, 10**400]]}}}, "detection.matrix.re must"),
             # numpy refuses 1e15 x 4 outcomes (32 PB) at once, without allocating
             ("simulate", {**IDENTITY_SIMULATION, "shots": 10**15}, "mphd simulate: error: Unable to allocate"),
             *(
@@ -772,6 +781,136 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert run(["simulate", "--help"]) == 0
         assert "--branch" in capsys.readouterr().out
+
+
+def leaf_paths(doc, prefix=""):
+    """A report's dotted key paths to non-object values; ``solutions`` through its first entry."""
+    paths = set()
+    for key, value in doc.items():
+        path = prefix + key
+        if key == "solutions" and value:
+            value, path = value[0], path + "[0]"
+        paths |= leaf_paths(value, path + ".") if isinstance(value, dict) else {path}
+    return paths
+
+
+def complex_paths(*names):
+    return {f"{name}.{part}" for name in names for part in ("re", "im")}
+
+
+def prefixed(prefix, *keys):
+    return {f"{prefix}.{key}" for key in keys}
+
+
+_STAMP = {"schema_version", "command", "timing.seconds"}
+_FLIP_CONFIG = prefixed(
+    "config", "modes.n", "modes.domain", "modes.family", "modes.lo_index", "pixels.boundaries", "opo_phases"
+) | complex_paths("config.u_t", "config.g")
+_SYNTHESIS = _STAMP | complex_paths("feasibility.d_candidate") | prefixed(
+    "feasibility", "feasible", "offdiag_residual", "modulus_residual", "tol"
+)
+_EXACT = _SYNTHESIS | _FLIP_CONFIG | prefixed("solutions[0]", "phases", "gains", "residual", "branch")
+_GATE = (
+    _EXACT
+    | complex_paths("config.target.matrix")
+    | {"config.target.gate.name"}
+    | prefixed("program", "name", "angles", "offsets", "gains", "target_gate")
+)
+
+#: Each report's key paths: every value sits once, in the block that owns it.
+REPORT_PATHS = [
+    pytest.param("synthesize", {"preset": "identity"}, _EXACT | {"config.target.identity"}, id="identity"),
+    pytest.param("synthesize", {"preset": "lin4"}, _EXACT | complex_paths("config.target.matrix"), id="lin4"),
+    pytest.param("synthesize", {"preset": "fourier"}, _GATE, id="fourier"),
+    pytest.param("synthesize", {"preset": "displacement"}, _GATE, id="displacement"),
+    pytest.param(
+        "synthesize",
+        {"preset": "cz2"},
+        _SYNTHESIS
+        | complex_paths("config.detection.matrix", "config.target.matrix")
+        | {"config.target.graph.adjacency", "solutions"}
+        | prefixed(
+            "approx", "residual", "iterations", "converged", "objective_trace",
+            "solution.phases", "solution.gains", "solution.residual",
+        ),
+        id="cz2",
+    ),
+    pytest.param(
+        "gate",
+        {"preset": "fourier", "r": 6, "seed": 2},
+        _GATE
+        | prefixed(
+            "verification", "r", "input_squeezing", "outcomes", "input_transfer", "offset_displacement",
+            "output_mean", "output_cov", "cov_distance", "mean_distance", "passed",
+        ),
+        id="gate-r",
+    ),
+    pytest.param(
+        "cluster",
+        {"graph": {"edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}},
+        _STAMP
+        | {"config.graph.adjacency", "a", "x_s", "freedom", "validation.passed"}
+        | complex_paths("u")
+        | prefixed(
+            "validation.residuals", "unitary", "xTy_symmetric", "xxT_plus_yyT_equals_i", "xyT_symmetric", "y_equals_vx"
+        ),
+        id="cluster",
+    ),
+    pytest.param(
+        "simulate",
+        {"preset": "lin4", "shots": 10},
+        _STAMP
+        | _FLIP_CONFIG
+        | complex_paths("config.target.matrix")
+        | prefixed("config", "plan.angles", "plan.offsets", "plan.gains", "r", "shots", "seed")
+        | prefixed("solution", "phases", "gains", "residual")
+        | {"csv_path", "sample_mean", "sample_cov", "analytic_mean", "analytic_cov", "staged_vs_direct_residual"},
+        id="simulate",
+    ),
+]
+
+
+def old_display(m) -> list:
+    """The 2-decimal display block reports once carried beside a matrix."""
+    return [[f"{v.real:+.2f}{v.imag:+.2f}j" for v in row] for row in np.atleast_2d(np.asarray(m, dtype=complex))]
+
+
+class TestReportKeys:
+    @pytest.mark.parametrize("command, doc, paths", REPORT_PATHS)
+    def test_each_report_holds_its_pinned_key_paths(self, tmp_path, command, doc, paths):
+        if command == "simulate":
+            run_command(tmp_path, "synthesize", {"preset": "lin4"}, name="synth.json", out="synth_rep.json")
+            doc = {**doc, "solution_report": str(tmp_path / "synth_rep.json")}
+        code, report = run_command(tmp_path, command, doc)
+        assert code == (2 if doc.get("preset") == "cz2" else 0)
+        held = leaf_paths(report)
+        assert (sorted(held - paths), sorted(paths - held)) == ([], [])
+
+    @pytest.mark.parametrize("branch", [None, "1001"])
+    def test_a_report_with_the_old_copies_still_feeds_simulate(self, tmp_path, branch):
+        _, report = run_command(tmp_path, "synthesize", {"preset": "lin4"}, name="synth.json", out="trimmed.json")
+        config, feasibility = report["config"], report["feasibility"]
+        config["tolerance"] = feasibility["tol"]
+        config["u_t_display"] = old_display(mat_from_json(config["u_t"]))
+        config["g_display"] = old_display(mat_from_json(config["g"]))
+        config["target"]["display"] = old_display(mat_from_json(config["target"]["matrix"]))
+        feasibility["d_display"] = old_display(mat_from_json(feasibility["d_candidate"]))
+        for sol in report["solutions"]:
+            diagonal = np.exp(1j * np.asarray(sol["phases"]))
+            sol["delta_diag"] = {"re": [diagonal.real.tolist()], "im": [diagonal.imag.tolist()]}
+            sol["delta_display"] = old_display(diagonal)[0]
+            sol["gains_display"] = old_display(sol["gains"])
+        (tmp_path / "old.json").write_text(json.dumps(report))
+        chosen = next(s for s in report["solutions"] if branch in (None, s["branch"]))
+        replies = []
+        for source in ("trimmed.json", "old.json"):
+            doc = {"preset": "lin4", "solution_report": str(tmp_path / source), "shots": 10, "seed": 4}
+            code, reply = run_command(tmp_path, "simulate", {**doc, **({"branch": branch} if branch else {})})
+            assert code == 0
+            assert (reply["solution"]["phases"], reply["solution"]["gains"]) == (chosen["phases"], chosen["gains"])
+            reply.pop("timing")
+            replies.append(reply)
+        assert replies[0] == replies[1]
 
 
 class TestSchemaTables:

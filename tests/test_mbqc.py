@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import refvals as rv
 from mphd import (
     FOURIER_GATE,
+    GateProgram,
     MeasurementPlan,
     build_u_tf,
     compose,
@@ -142,6 +143,27 @@ class TestMeasurementPlan:
         assert first == first and first.plan == first.plan
         assert first != second and first.plan != second.plan
         assert len({first, second, first}) == 2
+
+
+class TestGateProgram:
+    @pytest.mark.parametrize(
+        "gate", [np.eye(3), np.ones(2), np.ones((2, 2, 1)), 1.0, [[1.0, 0.0], [0.0]]], ids=["3x3", "vector", "3d", "scalar", "ragged"]
+    )
+    def test_target_gate_must_be_2x2(self, gate):
+        program = fourier_program()
+        with pytest.raises(DimensionError, match="target_gate must be 2x2"):
+            GateProgram(program.plan, gate, program.u_th)
+
+    @pytest.mark.parametrize(
+        "gate",
+        [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [0.0, 1.0]], np.eye(2) * 1j, [["1", "0"], ["0", "1"]]],
+        ids=["nan", "inf", "complex", "strings"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_target_gate_must_be_finite_and_real(self, gate):
+        program = fourier_program()
+        with pytest.raises(ValidationError, match="target_gate must be a finite real 2x2 array"):
+            GateProgram(program.plan, gate, program.u_th)
 
 
 class TestFourierProgram:
