@@ -8,7 +8,8 @@ the user picks displaces the preset's other ones, and two alternatives from
 the user are a usage error), and the preset's keys the command does not read
 are dropped. Integer leaves (``_INT_KEYS``) must be JSON integers, real
 leaves (``_REAL_KEYS``) JSON numbers, boolean leaves (``_BOOL_KEYS``) JSON
-booleans and path leaves (``_PATH_KEYS``) strings. ``optimizer`` takes only
+booleans, path leaves (``_PATH_KEYS``) strings and array leaves
+(``_ARRAY_KEYS``) rectangular arrays of numbers. ``optimizer`` takes only
 ``max_iters`` and ``restarts``, each at least 1; its seed is ``seed`` and its
 tolerance ``tolerances.feasibility``.
 The schema also gives each command its flags: ``--seed``, ``--branch`` and
@@ -68,8 +69,8 @@ ALLOWED_KEYS = {
 
 #: Blocks merged key by key and checked against these keys; other values are leaves.
 _NESTED_KEYS = {
-    "modes": {"n", "domain", "lo_index", "file"},
-    "pixels": {"count", "boundaries"},
+    "modes": {"n", "lo_index", "file"},
+    "pixels": {"boundaries"},
     "detection": {"matrix"},
     "target": {"matrix", "graph", "gate", "identity"},
     "graph": {"adjacency", "edges", "n"},
@@ -84,17 +85,18 @@ _NESTED_KEYS = {
 #: Per block (``None``: the top level), the alternatives of which a config gives one.
 _CHOICES = {
     None: ({"detection"}, {"modes", "pixels", "opo_phases"}),
-    "modes": ({"file"}, {"n", "domain"}),
-    "pixels": ({"count"}, {"boundaries"}),
+    "modes": ({"file"}, {"n"}),
     "graph": ({"adjacency"}, {"edges", "n"}),
     "target": tuple({form} for form in sorted(_NESTED_KEYS["target"])),
 }
 
 #: Leaves that must be JSON integers, numbers, booleans or file paths, in any block.
-_INT_KEYS = {"n", "lo_index", "count", "seed", "shots", "max_iters", "restarts"}
+_INT_KEYS = {"n", "lo_index", "seed", "shots", "max_iters", "restarts"}
 _REAL_KEYS = {"r", "input_squeezing", "theta_3", "s", "feasibility"}
 _BOOL_KEYS = {"enumerate", "identity"}
 _PATH_KEYS = {"file", "solution_report", "csv_path"}
+#: Leaves that must be numbers or (nested) lists of them, in any block; ``null`` leaves them unset.
+_ARRAY_KEYS = {"phases", "gains", "angles", "offsets", "adjacency", "opo_phases", "boundaries"}
 
 #: Flags by the schema key they override: (flag, type, nested key or None, help).
 _FLAGS = {
@@ -113,7 +115,8 @@ def merge(base: dict, user: dict, allowed: set, block: str | None = None) -> dic
     ``_NESTED_KEYS`` merge recursively; any other user value replaces the
     base's whole, and must be an integer under a ``_INT_KEYS`` name, a number
     under a ``_REAL_KEYS`` one, a boolean under a ``_BOOL_KEYS`` one and a
-    string under a ``_PATH_KEYS`` one.
+    string under a ``_PATH_KEYS`` one; a non-null value under an ``_ARRAY_KEYS``
+    name must be a rectangular array of numbers.
     """
     where = f"config.{block}" if block else "config"
     if not isinstance(user, dict):
@@ -142,6 +145,8 @@ def merge(base: dict, user: dict, allowed: set, block: str | None = None) -> dic
             raise ConfigError(f"config.{name} must be true or false, got {value!r}")
         elif key in _PATH_KEYS and not isinstance(value, str):
             raise ConfigError(f"config.{name} must be a file path, got {value!r}")
+        elif key in _ARRAY_KEYS and value is not None:
+            _real_array(value, f"config.{name}")
         out[key] = value
     return out
 
@@ -238,20 +243,13 @@ def _resolve_detection(config):
     if "file" in mode_cfg:
         basis = modes.load_mode_basis(mode_cfg["file"])
     else:
-        domain = mode_cfg.get("domain", list(modes.DEFAULT_DOMAIN))
-        if not (
-            isinstance(domain, list) and len(domain) == 2 and all(type(x) in (int, float) for x in domain)
-        ):
-            raise ConfigError(f"config.modes.domain must be a list of two numbers, got {domain!r}")
-        basis = modes.flip_mode_basis(mode_cfg.get("n", 4), tuple(domain))
+        basis = modes.flip_mode_basis(mode_cfg.get("n", 4))
     lo_index = mode_cfg.get("lo_index", 0)
-    pixel_cfg = config.get("pixels", {})
-    boundaries = pixel_cfg.get("boundaries")
-    count = pixel_cfg.get("count", basis.n_modes) if boundaries is None else np.size(boundaries) - 1
-    if count != basis.n_modes:
-        raise ConfigError(f"pixels gives {count} pixels for {basis.n_modes} modes; G must be square")
+    boundaries = config.get("pixels", {}).get("boundaries")
     if boundaries is None:
-        partition = modes.PixelPartition.equal(count, basis.domain)
+        partition = modes.PixelPartition.equal(basis.n_modes)
+    elif (count := np.size(boundaries) - 1) != basis.n_modes:
+        raise ConfigError(f"pixels gives {count} pixels for {basis.n_modes} modes; G must be square")
     else:
         partition = modes.PixelPartition(boundaries)
     opo = config.get("opo_phases")
@@ -262,7 +260,6 @@ def _resolve_detection(config):
         "modes": {
             "family": "file" if "file" in mode_cfg else "flip",
             "n": basis.n_modes,
-            "domain": basis.domain,
             "lo_index": lo_index,
         },
         "pixels": {"boundaries": partition.boundaries},
@@ -368,8 +365,8 @@ def _solution_from_config(config) -> synth.SynthesisSolution:
     if missing := {"phases", "gains"} - set(doc):
         raise ConfigError(f"solution is missing {sorted(missing)}")
     return synth.SynthesisSolution(
-        delta_lo=DiagonalUnitary(doc["phases"]),
-        gains=np.asarray(doc["gains"], dtype=float),
+        delta_lo=DiagonalUnitary(_real_array(doc["phases"], "solution.phases")),
+        gains=_real_array(doc["gains"], "solution.gains"),
         residual=float("nan"),
     )
 

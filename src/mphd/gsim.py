@@ -240,7 +240,6 @@ class SimulationResult:
     sample_cov: np.ndarray
     analytic_mean: np.ndarray
     analytic_cov: np.ndarray
-    staged_cov: np.ndarray
     direct_cov: np.ndarray
     staged_vs_direct_residual: float
 
@@ -268,6 +267,8 @@ def simulate_mphd(
     covariance (single map from the solution's full unitary) is returned alongside.
     Nothing is conditioned, so the factor is the plain R of ``np.linalg.qr``, not
     ``_condition``'s: its column sort and signs would change the seeded outcomes.
+    Below ``_R_MAX`` the sums of e^{2r}-sized squares over many shots can still pass float64:
+    a run whose moments do so raises a ``ValidationError`` naming ``r``, with no numpy warning.
     """
     _require_count(shots=shots)
     if shots < 1:
@@ -279,37 +280,42 @@ def simulate_mphd(
         raise DimensionError("setup and solution dimensions do not match")
     if plan.n_modes != n:
         raise DimensionError(f"plan covers {plan.n_modes} modes, pipeline has {n}")
-    staged = symplectic_from_unitary(g) * squeeze
-    staged = symplectic_from_unitary(sol.delta_lo.matrix()) @ staged
-    staged = symplectic_from_unitary(sol.gains.astype(complex)) @ staged
-    direct = symplectic_from_unitary(sol.unitary(g)) * squeeze
-    staged_cov, direct_cov = staged @ staged.T, direct @ direct.T
-    residual = float(np.abs(staged_cov - direct_cov).max())
-    if not np.isfinite(residual):
-        raise ValidationError(f"covariance is not finite at r = {r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, unwarned
+        staged = symplectic_from_unitary(g) * squeeze
+        staged = symplectic_from_unitary(sol.delta_lo.matrix()) @ staged
+        staged = symplectic_from_unitary(sol.gains.astype(complex)) @ staged
+        direct = symplectic_from_unitary(sol.unitary(g)) * squeeze
+        direct_cov = direct @ direct.T
+        residual = float(np.abs(staged @ staged.T - direct_cov).max())
+        if not np.isfinite(residual):
+            raise ValidationError(f"covariance is not finite at r = {r}")
 
-    rows = np.sin(plan.angles)[:, None] * staged[:n] + np.cos(plan.angles)[:, None] * staged[n:]
-    factor = np.linalg.qr(rows.T, mode="r") * plan.gains
-    rng = _generator(seed)
-    outcomes, total, gram = np.empty((shots, n)), np.zeros(n), np.zeros((n, n))
-    # a short tail joins the block before it: a GEMM of one or two rows takes another BLAS kernel
-    step = max(_BLOCK // n, 1)
-    stops = [*range(step, shots - step + 1, step), shots]
-    for start, stop in zip([0, *stops], stops):
-        y = outcomes[start:stop]
-        np.matmul(rng.standard_normal((stop - start, n)), factor, out=y)
-        total += np.ones(stop - start) @ y
-        gram += y.T @ y
-        y += plan.offsets
-    mean = total / shots
+        rows = np.sin(plan.angles)[:, None] * staged[:n] + np.cos(plan.angles)[:, None] * staged[n:]
+        factor = np.linalg.qr(rows.T, mode="r") * plan.gains
+        rng = _generator(seed)
+        outcomes, total, gram = np.empty((shots, n)), np.zeros(n), np.zeros((n, n))
+        # a short tail joins the block before it: a GEMM of one or two rows takes another BLAS kernel
+        step = max(_BLOCK // n, 1)
+        stops = [*range(step, shots - step + 1, step), shots]
+        for start, stop in zip([0, *stops], stops):
+            y = outcomes[start:stop]
+            np.matmul(rng.standard_normal((stop - start, n)), factor, out=y)
+            total += np.ones(stop - start) @ y
+            gram += y.T @ y
+            y += plan.offsets
+        mean = total / shots
+        sample_cov = (gram - shots * np.outer(mean, mean)) / max(shots - 1, 1)
+        analytic_cov = np.outer(plan.gains, plan.gains) * (rows @ rows.T)
+    # an outcome past float64 needs |y| > 1e154 before its offset, so an inf y^2 in sample_cov
+    if not (np.isfinite(sample_cov).all() and np.isfinite(analytic_cov).all()):
+        raise ValidationError(f"sample moments of {shots} shots overflow float64 at r = {r}")
     return SimulationResult(
         outcomes=outcomes,
         angles=plan.angles.copy(),
         sample_mean=mean + plan.offsets,
-        sample_cov=(gram - shots * np.outer(mean, mean)) / max(shots - 1, 1),
+        sample_cov=sample_cov,
         analytic_mean=plan.offsets.copy(),
-        analytic_cov=np.outer(plan.gains, plan.gains) * (rows @ rows.T),
-        staged_cov=staged_cov,
+        analytic_cov=analytic_cov,
         direct_cov=direct_cov,
         staged_vs_direct_residual=residual,
     )

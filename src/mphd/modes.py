@@ -1,21 +1,22 @@
 """Mode bases, pixel partitions, and the detection front end.
 
-All mode functions live on a 1-D detector coordinate interval, split into
-uniform cells, and are read as constant on each cell. Integrals are sums over
-cells weighted by the share of each cell that lies in the integration range,
-so they are exact for such step functions wherever the pixel edges fall. A
-flip basis has one cell per segment. The cell width weights the terms before
-they are summed, so no sum overflows while the domain's width has a finite
-reciprocal.
+The detector coordinate is the unit interval [0, 1]: every overlap is an
+integral of normalized modes, so no result depends on a unit of length. Mode
+functions live on ``grid_points`` uniform cells of it and are read as
+constant on each cell. Integrals are sums over cells weighted by the share of
+each cell that lies in the integration range, so they are exact for such
+step functions wherever the pixel edges fall. A flip basis has one cell per
+segment, and pixel boundaries are fractions of the detector.
 
-Front-end defaults live here: :data:`DEFAULT_DOMAIN` and zero OPO dephasings.
-A mode file is plain text: a ``domain_min domain_max grid_points`` header,
-then one row of samples per cell.
+The front end's only default lives here: zero OPO dephasings. A mode file is
+plain text: a ``domain_min domain_max grid_points`` header, then one row of
+samples per cell; the header's interval only normalizes the samples, which
+are rescaled onto [0, 1].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +27,9 @@ from .errors import (
 )
 from .matcore import DiagonalUnitary
 
-DEFAULT_DOMAIN = (0.0, 1.0)
 #: Most flip modes :func:`flip_mode_basis` builds; its pattern matrix grows as N^2.
 _MAX_FLIP_MODES = 64
-#: How far a partition's outer boundaries may sit from the domain's ends.
+#: How far a partition's outer boundaries may sit from the detector's ends, 0 and 1.
 _COVER_TOL = 1e-9
 #: Largest Gram-matrix deviation from the identity a loaded mode file may have.
 _ORTHONORMAL_TOL = 1e-8
@@ -37,26 +37,19 @@ _ORTHONORMAL_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ModeBasis:
-    """A set of orthonormal mode functions, constant on the cells of a uniform grid.
+    """A set of orthonormal mode functions, constant on the cells of a uniform grid of [0, 1].
 
     ``samples[k, i]`` is the value of mode ``k`` on grid cell ``i``. Modes are
     expected to be pairwise orthonormal as such step functions;
     :meth:`orthonormality_residual` measures the deviation.
     """
 
-    domain: tuple[float, float]
-    samples: np.ndarray = field()
+    samples: np.ndarray
 
     def __post_init__(self):
         samples = np.atleast_2d(np.asarray(self.samples))
-        lo, hi = float(self.domain[0]), float(self.domain[1])
-        if not np.isfinite([lo, hi]).all():
-            raise ValidationError(f"domain [{lo}, {hi}] is not finite")
-        if hi <= lo:
-            raise ValidationError(f"empty domain [{lo}, {hi}]")
         if not np.isfinite(samples).all():
             raise ValidationError("mode samples contain non-finite values")
-        object.__setattr__(self, "domain", (lo, hi))
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -69,8 +62,7 @@ class ModeBasis:
 
     @property
     def cell_width(self) -> float:
-        lo, hi = self.domain
-        return (hi - lo) / self.grid_points
+        return 1 / self.grid_points
 
     def gram(self) -> np.ndarray:
         # huge samples overflow to an inf/nan residual, which the orthonormality check names
@@ -87,7 +79,7 @@ def _sequency_walsh_patterns(n_modes: int) -> np.ndarray:
     Built by doubling: pattern ``w_k`` on ``m`` segments gives
     ``[w_k, (-1)^k w_k]`` and ``[w_k, -(-1)^k w_k]`` on ``2m``, the patterns
     with ``2k`` and ``2k + 1`` flips. The sign of each pattern is then fixed to
-    be positive at the domain center (or at the left edge when the pattern
+    be positive at the detector center (or at the left edge when the pattern
     flips exactly at the center), matching the four-mode square-profile
     example this library reproduces.
     """
@@ -102,7 +94,7 @@ def _sequency_walsh_patterns(n_modes: int) -> np.ndarray:
     return patterns * np.where(centered, patterns[:, mid], patterns[:, 0])[:, None]
 
 
-def flip_mode_basis(n_modes: int, domain: tuple[float, float] = DEFAULT_DOMAIN) -> ModeBasis:
+def flip_mode_basis(n_modes: int) -> ModeBasis:
     """Square-profile mode family: mode ``n`` has ``n - 1`` sign flips.
 
     Mode 1 is flat (the local oscillator of the worked four-mode example);
@@ -112,21 +104,14 @@ def flip_mode_basis(n_modes: int, domain: tuple[float, float] = DEFAULT_DOMAIN) 
     """
     if not 1 <= n_modes <= _MAX_FLIP_MODES:
         raise ValidationError(f"need 1 to {_MAX_FLIP_MODES} flip modes, got {n_modes}")
-    lo, hi = float(domain[0]), float(domain[1])
-    if not np.isfinite(hi - lo):
-        raise ValidationError(f"domain [{lo}, {hi}] has no finite width")
-    if hi <= lo:
-        raise ValidationError(f"empty domain [{lo}, {hi}]")
-    if not np.isfinite(1.0 / (hi - lo)):
-        raise ValidationError(f"domain [{lo}, {hi}] is too narrow: its width has no finite reciprocal")
-    return ModeBasis((lo, hi), _sequency_walsh_patterns(n_modes) / np.sqrt(hi - lo))
+    return ModeBasis(_sequency_walsh_patterns(n_modes))
 
 
 @dataclass(frozen=True, eq=False)
 class PixelPartition:
-    """Contiguous, non-overlapping pixels covering the detector domain."""
+    """Contiguous, non-overlapping pixels covering the detector; boundaries are fractions of it."""
 
-    boundaries: np.ndarray = field()
+    boundaries: np.ndarray
 
     def __post_init__(self):
         b = np.asarray(self.boundaries, dtype=float)
@@ -137,20 +122,20 @@ class PixelPartition:
         object.__setattr__(self, "boundaries", b)
 
     @classmethod
-    def equal(cls, count: int, domain: tuple[float, float] = DEFAULT_DOMAIN) -> "PixelPartition":
+    def equal(cls, count: int) -> "PixelPartition":
         if count < 1:
             raise ValidationError(f"need at least one pixel, got {count}")
-        return cls(np.linspace(domain[0], domain[1], count + 1))
+        return cls(np.linspace(0.0, 1.0, count + 1))
 
 
 def _pixel_shares(basis: ModeBasis, partition: PixelPartition) -> np.ndarray:
-    """(P, M) share of each grid cell that lies in each pixel; the pixels must span the domain."""
+    """(P, M) share of each grid cell that lies in each pixel; the pixels must span [0, 1]."""
     b = partition.boundaries
-    if not np.abs(b[[0, -1]] - basis.domain).max() <= _COVER_TOL:
-        raise ValidationError(f"partition {b[[0, -1]]} does not cover domain {basis.domain}")
+    if not np.abs(b[[0, -1]] - (0.0, 1.0)).max() <= _COVER_TOL:
+        raise ValidationError(f"partition {b[[0, -1]]} does not cover the detector [0, 1]")
     b = b.copy()
-    b[[0, -1]] = basis.domain
-    e = np.linspace(*basis.domain, basis.grid_points + 1)
+    b[[0, -1]] = (0.0, 1.0)
+    e = np.linspace(0.0, 1.0, basis.grid_points + 1)
     overlap = np.minimum(e[None, 1:], b[1:, None]) - np.maximum(e[None, :-1], b[:-1, None])
     return np.clip(overlap, 0.0, None) / basis.cell_width
 
@@ -220,10 +205,10 @@ def detection_setup(
 
 
 def save_mode_basis(basis: ModeBasis, path) -> None:
-    """Write a basis as plain text: header row, then one mode per column."""
+    """Write a basis as plain text: header row ``0.0 1.0 grid_points``, then one mode per column."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# mode basis: <domain_min> <domain_max> <grid_points>, one mode per column\n")
-        fh.write(f"{basis.domain[0]!r} {basis.domain[1]!r} {basis.grid_points}\n")
+        fh.write(f"0.0 1.0 {basis.grid_points}\n")
         kind = complex if np.iscomplexobj(basis.samples) else float
         for row in basis.samples.T:
             fh.write(" ".join(repr(kind(v)).strip("()") for v in row) + "\n")
@@ -236,8 +221,10 @@ def load_mode_basis(path) -> ModeBasis:
     ``domain_min domain_max grid_points``; each of the ``grid_points`` later
     rows holds one sample per mode, read by ``np.loadtxt`` as real (``0.5``)
     or complex (``0.5+0.1j``). Each sample is the mode's value on the whole of
-    its cell, one of ``grid_points`` equal cells over the domain, not a point
-    value. Orthonormality is checked to ``_ORTHONORMAL_TOL``.
+    its cell, one of ``grid_points`` equal cells over the header's interval, not
+    a point value. The interval must be finite and non-empty; the samples,
+    normalized on it, are rescaled by ``sqrt(domain_max - domain_min)`` onto
+    [0, 1]. Orthonormality is checked to ``_ORTHONORMAL_TOL``.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
@@ -251,6 +238,8 @@ def load_mode_basis(path) -> ModeBasis:
         raise ValidationError(
             f"header must be 'domain_min domain_max grid_points', got {lines[0]!r}"
         ) from None
+    if not np.isfinite(hi - lo) or hi <= lo:
+        raise ValidationError(f"header interval [{lo}, {hi}] is empty or not finite")
     if m < 1 or len(rows) != m:
         raise ValidationError(f"header promises {m} grid rows, file has {len(rows)}")
     try:
@@ -259,7 +248,8 @@ def load_mode_basis(path) -> ModeBasis:
         raise ValidationError(f"basis rows are unparseable or ragged: {exc}") from exc
     if np.abs(samples.imag).max(initial=0.0) == 0.0:
         samples = samples.real
-    basis = ModeBasis(domain=(lo, hi), samples=samples)
+    with np.errstate(over="ignore"):  # a sample pushed past float64 is named non-finite
+        basis = ModeBasis(samples * np.sqrt(hi - lo))
     resid = basis.orthonormality_residual()
     if not resid <= _ORTHONORMAL_TOL:
         raise ValidationError(

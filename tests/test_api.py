@@ -40,11 +40,11 @@ PUBLIC_SIGNATURES = {
     "GaussianState": ("mean", "cov"),
     "HomodyneRecord": ("mode", "angle", "outcome"),
     "MeasurementPlan": ("angles", "offsets", "gains"),
-    "ModeBasis": ("domain", "samples"),
+    "ModeBasis": ("samples",),
     "PixelPartition": ("boundaries",),
     "SimulationResult": (
         "outcomes", "angles", "sample_mean", "sample_cov", "analytic_mean", "analytic_cov",
-        "staged_cov", "direct_cov", "staged_vs_direct_residual"
+        "direct_cov", "staged_vs_direct_residual"
     ),
     "SynthesisSolution": ("delta_lo", "gains", "residual", "branch_id"),
     "apply": ("s", "state"),
@@ -56,7 +56,7 @@ PUBLIC_SIGNATURES = {
     "enumerate_solutions": ("report", "g", "u_th"),
     "export_samples_csv": ("result", "path"),
     "feasibility": ("u_th", "g", "tol"),
-    "flip_mode_basis": ("n_modes", "domain"),
+    "flip_mode_basis": ("n_modes",),
     "fourier_program": ("theta_3",),
     "frobenius_distance": ("m1", "m2"),
     "homodyne_measure": ("state", "mode", "theta", "rng_seed"),

@@ -102,7 +102,6 @@ class TestSynthesize:
     def test_graph_target_feasibility_block(self, tmp_path):
         doc = {
             "modes": {"n": 4},
-            "pixels": {"count": 4},
             "opo_phases": list(rv.OPO_LIN4),
             "target": PATH4,
         }
@@ -157,11 +156,7 @@ class TestSynthesize:
         np.testing.assert_allclose(np.asarray(principal["gains"]), np.eye(4), atol=1e-12)
 
     def test_preset_detection_can_be_replaced(self, tmp_path):
-        doc = {
-            "preset": "cz2",
-            "modes": {"n": 2},
-            "pixels": {"count": 2},
-        }
+        doc = {"preset": "cz2", "modes": {"n": 2}, "pixels": {"boundaries": [0.0, 0.5, 1.0]}}
         code, report = run_command(tmp_path, "synthesize", doc)
         # with the two-mode flip-mode front end this target is feasible
         assert code == 0
@@ -182,13 +177,27 @@ class TestSynthesize:
         save_mode_basis(flip_mode_basis(4), basis_path)
         doc = {
             "modes": {"file": str(basis_path)},
-            "pixels": {"count": 4},
             "opo_phases": list(rv.OPO_LIN4),
             "target": PRESETS["lin4"]["target"],
         }
         code, report = run_command(tmp_path, "synthesize", doc)
         assert code == 0
         assert report["feasibility"]["feasible"] is True
+
+    def test_file_basis_boundaries_are_fractions_of_the_detector(self, tmp_path, capsys):
+        # a basis on [-1, 3] loads onto [0, 1]: its pixel edges are fractions, not the file's units
+        rows = "".join(" ".join(map(repr, row.tolist())) + "\n" for row in mphd.flip_mode_basis(4).samples.T / 2)
+        (tmp_path / "basis.txt").write_text(f"-1.0 3.0 4\n{rows}")
+        doc = {"preset": "lin4", "modes": {"file": str(tmp_path / "basis.txt")}}
+        _, flip = run_command(tmp_path, "synthesize", {"preset": "lin4"}, out="flip.json")
+        code, report = run_command(tmp_path, "synthesize", {**doc, "pixels": {"boundaries": [0, 0.25, 0.5, 0.75, 1]}})
+        assert code == 0
+        assert report["config"]["g"] == flip["config"]["g"]
+        code, report = run_command(
+            tmp_path, "synthesize", {**doc, "pixels": {"boundaries": [-1, 0, 1, 2, 3]}}, out="lengths.json"
+        )
+        assert (code, report) == (1, None)
+        assert "does not cover the detector [0, 1]" in capsys.readouterr().err
 
     def test_preset_keys_stay_allowed_on_either_route(self, tmp_path):
         # the preset fills in keys the user's route ignores; only user keys are checked
@@ -225,7 +234,7 @@ class TestSynthesize:
 
     def test_preset_detection_rejects_ignored_keys(self, tmp_path, capsys):
         # cz2 gives detection.matrix, so the user's pixels and opo_phases would go unread
-        doc = {"preset": "cz2", "pixels": {"count": 5}, "opo_phases": [1, 2]}
+        doc = {"preset": "cz2", "pixels": {"boundaries": [0, 0.5, 1]}, "opo_phases": [1, 2]}
         code, report = run_command(tmp_path, "synthesize", doc)
         assert (code, report) == (1, None)
         assert "['opo_phases', 'pixels'] would be ignored" in capsys.readouterr().err
@@ -524,8 +533,10 @@ class TestSimulate:
             ({"solutions": [{"branch": "0000"}, 1]}, None, "solutions[1] must be a JSON object"),
             ({"solutions": [], "approx": {"solution": [1]}}, None, "approx.solution must be a JSON object"),
             ({"solutions": 5}, None, "solutions must be a JSON list"),
+            ({"solutions": [{"phases": ["a", 0, 0, 0], "gains": np.eye(4).tolist()}]}, None, "solution.phases must be"),
+            ({"solutions": [{"phases": [0] * 4, "gains": "x"}]}, None, "solution.gains must be a rectangular array"),
         ],
-        ids=["with-branch", "without-branch", "approx", "not-a-list"],
+        ids=["with-branch", "without-branch", "approx", "not-a-list", "phases-not-numbers", "gains-not-numbers"],
     )
     def test_malformed_report_entries_are_named(self, tmp_path, capsys, synthesized, branch, message):
         (tmp_path / "synth_rep.json").write_text(json.dumps(synthesized))
@@ -598,7 +609,7 @@ class TestUsageErrors:
             ("simulate", {**IDENTITY_SIMULATION, "solution": {"phases": [0.0] * 4}}, []),
             ("simulate", {**IDENTITY_SIMULATION, "detection": {}}, []),
             ("simulate", {"preset": "identity", "solution_report": "list.json", "shots": 2}, []),
-            ("synthesize", {**IDENTITY_DETECTION, "pixels": {"count": 7}}, []),
+            ("synthesize", {**IDENTITY_DETECTION, "pixels": {"boundaries": [0, 0.5, 1]}}, []),
             ("synthesize", {**IDENTITY_DETECTION, "opo_phases": [1, 2, 3]}, []),
             ("synthesize", {**IDENTITY_DETECTION, "modes": {"n": 2}}, []),
             (
@@ -606,16 +617,10 @@ class TestUsageErrors:
                 {"modes": {"file": "basis.txt", "n": 9}, "target": {"identity": True}},
                 [],
             ),
-            ("synthesize", {"preset": "lin4", "modes": {"file": "basis.txt", "domain": [0, 2]}}, []),
             ("synthesize", {"preset": "cz2", "optimizer": {"seed": 3}}, []),
             ("synthesize", {"preset": "cz2", "optimizer": {"tol": 1e-6}}, []),
-            (
-                "synthesize",
-                {"preset": "lin4", "pixels": {"count": 4, "boundaries": [0, 0.25, 0.5, 0.75, 1]}},
-                [],
-            ),
             ("cluster", {"graph": {"adjacency": [[0, 1], [1, 0]], "edges": [[0, 1]]}}, []),
-            ("cluster", {**EDGE, "pixels": {"count": 2}}, []),
+            ("cluster", {**EDGE, "pixels": {"boundaries": [0, 0.5, 1]}}, []),
             ("synthesize", {"preset": ["lin4"]}, []),
             ("synthesize", {"preset": "lin4", "opo_phases": "abc"}, []),
             ("synthesize", {"preset": "lin4", "modes": {"n": "x"}}, []),
@@ -635,7 +640,6 @@ class TestUsageErrors:
             ("cluster", {"freedom": {"matrix": [[1.0]]}}, []),
             ("synthesize", ["lin4"], []),
             ("synthesize", {"preset": "lin4", "modes": {"n": 2.7}}, []),
-            ("synthesize", {"preset": "lin4", "pixels": {"count": 2.9}}, []),
             ("synthesize", {"preset": "lin4", "modes": {"n": True}}, []),
             ("simulate", {**IDENTITY_SIMULATION, "shots": 2.9}, []),
             ("synthesize", {"preset": "cz2", "seed": 1.5}, []),
@@ -659,14 +663,14 @@ class TestUsageErrors:
             "cluster-tolerances", "cluster--tol",
             "simulate--tol", "no--config", "solution-without-gains", "detection-without-matrix",
             "solution-report-list-root", "detection-with-pixels", "detection-with-opo-phases",
-            "detection-with-modes", "modes-file-with-n", "preset-modes-file-with-domain",
-            "optimizer-seed", "optimizer-tol", "pixels-count-with-boundaries",
+            "detection-with-modes", "modes-file-with-n",
+            "optimizer-seed", "optimizer-tol",
             "graph-adjacency-with-edges", "cluster-pixels-without-modes",
             "preset-not-a-name", "opo-phases-not-numbers", "modes-n-not-a-number",
             "adjacency-not-numbers", "modes-not-an-object", "matrix-without-re",
             "re-im-shapes-differ", "graph-without-edges", "no-target", "unknown-named-target",
             "empty-target", "unknown-gate", "cluster-without-graph",
-            "list-root", "modes-n-fraction", "pixels-count-fraction", "modes-n-bool",
+            "list-root", "modes-n-fraction", "modes-n-bool",
             "shots-fraction", "seed-fraction", "modes-file-number", "solution-report-number",
             "optimizer-counts-below-1", "input-squeezing-without-r",
             "cluster-modes", "cluster-detection", "cluster-opo-phases", "cluster-preset",
@@ -714,9 +718,20 @@ class TestUsageErrors:
             # numpy refuses 1e15 x 4 outcomes (32 PB) at once, without allocating
             ("simulate", {**IDENTITY_SIMULATION, "shots": 10**15}, "mphd simulate: error: Unable to allocate"),
             *(
-                ("synthesize", {"modes": {"n": 4, "domain": domain}, "target": {"identity": True}}, "config.modes.domain")
-                for domain in ([0], [0, 1, 7], 5)
+                ("simulate", {**IDENTITY_SIMULATION, block: {**IDENTITY_SIMULATION.get(block, {}), key: value}},
+                 f"config.{block}.{key} must be a rectangular array of numbers")
+                for block, key, value in [
+                    ("solution", "phases", ["a", 0, 0, 0]),
+                    ("solution", "gains", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, "a"]]),
+                    ("plan", "angles", ["a", 0, 0, 0]),
+                    ("plan", "offsets", [0, 0, [0], 0]),
+                    ("plan", "gains", [1, 1, True, 1]),
+                ]
             ),
+            ("cluster", {"graph": {"adjacency": [[0, "a"], ["a", 0]]}}, "config.graph.adjacency must be a rectangular"),
+            ("synthesize", {"preset": "cz2", "target": {"graph": {"adjacency": "x"}}}, "config.target.graph.adjacency must"),
+            ("synthesize", {"preset": "lin4", "opo_phases": ["a", 0, 0, 0]}, "config.opo_phases must be a rectangular"),
+            ("synthesize", {"preset": "lin4", "pixels": {"boundaries": [0, "a", 1]}}, "config.pixels.boundaries must be"),
         ],
     )
     def test_typed_leaves_name_their_dotted_key(self, tmp_path, capsys, command, doc, message):
@@ -740,13 +755,26 @@ class TestUsageErrors:
         "doc, message",
         [
             ({"preset": "identity", "modes": {"n": 65}}, "need 1 to 64 flip modes, got 65"),
-            ({"preset": "lin4", "modes": {"domain": [0, 1e-320]}}, "too narrow"),
-            ({"preset": "identity", "pixels": {"count": 20000}}, "pixels gives 20000 pixels for 4 modes"),
             ({"preset": "lin4", "pixels": {"boundaries": [0, 0.5, 1]}}, "pixels gives 2 pixels for 4 modes"),
+            ({"preset": "lin4", "pixels": {"boundaries": [0, 1, 2, 3, 4]}}, "does not cover the detector [0, 1]"),
         ],
-        ids=["modes-n-65", "domain-too-narrow", "pixels-count", "pixels-boundaries"],
+        ids=["modes-n-65", "pixels-boundaries", "boundaries-beyond-the-detector"],
     )
     def test_front_end_limits_are_named(self, tmp_path, capsys, doc, message):
+        code, report = run_command(tmp_path, "synthesize", doc)
+        assert (code, report) == (1, None)
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"preset": "lin4", "modes": {"domain": [0, 2]}}, "unknown key(s) ['domain'] in config.modes"),
+            ({"preset": "lin4", "pixels": {"count": 4}}, "unknown key(s) ['count'] in config.pixels"),
+        ],
+        ids=["modes-domain", "pixels-count"],
+    )
+    def test_detector_interval_and_pixel_count_are_not_keys(self, tmp_path, capsys, doc, message):
+        # the detector is [0, 1] and the pixel count the mode count: neither is set
         code, report = run_command(tmp_path, "synthesize", doc)
         assert (code, report) == (1, None)
         assert message in capsys.readouterr().err
@@ -776,7 +804,7 @@ class TestUsageErrors:
         doc = {"preset": "lin4", "opo_phases": ["a", "b", "c", "d"]}
         code, _ = run_command(tmp_path, "synthesize", doc)
         assert code == 1
-        assert [r.exc_info[0] for r in caplog.records if r.exc_info] == [ValueError]
+        assert [r.exc_info[0] for r in caplog.records if r.exc_info] == [mphd.ConfigError]
 
     def test_help_exits_0(self, capsys):
         assert run(["simulate", "--help"]) == 0
@@ -804,7 +832,7 @@ def prefixed(prefix, *keys):
 
 _STAMP = {"schema_version", "command", "timing.seconds"}
 _FLIP_CONFIG = prefixed(
-    "config", "modes.n", "modes.domain", "modes.family", "modes.lo_index", "pixels.boundaries", "opo_phases"
+    "config", "modes.n", "modes.family", "modes.lo_index", "pixels.boundaries", "opo_phases"
 ) | complex_paths("config.u_t", "config.g")
 _SYNTHESIS = _STAMP | complex_paths("feasibility.d_candidate") | prefixed(
     "feasibility", "feasible", "offdiag_residual", "modulus_residual", "tol"

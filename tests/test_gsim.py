@@ -479,6 +479,22 @@ class TestSimulateMphd:
         with pytest.raises(error, match=message):
             simulate_mphd(**args)
 
+    @pytest.mark.parametrize("r, shots", [(354.0, 10), (354.8, 10), (354.8, 1000)])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_moments_are_named(self, r, shots):
+        # the covariance e^{2r} is finite, its sum over the shots is not
+        setup, plan = make_setup(rv.G_LIN4), MeasurementPlan(angles=[0.0] * 4)
+        with pytest.raises(ValidationError, match=f"moments of {shots} shots overflow float64 at r = {r}"):
+            simulate_mphd(setup, lin4_solutions()[9], plan, r, shots, seed=1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_covariance_is_named(self, monkeypatch):
+        # below the cap a unitary pipeline's covariance is finite; past a raised cap it is not
+        monkeypatch.setattr("mphd.gsim._R_MAX", 400.0)
+        setup, sol, plan = fourier_pipeline(4)
+        with pytest.raises(ValidationError, match="covariance is not finite at r = 360.0"):
+            simulate_mphd(setup, sol, plan, 360.0, 2)
+
     @pytest.mark.parametrize("shots", [10.7, 2.0, True, "2", None])
     def test_shots_must_be_an_integer(self, shots):
         setup, sol, plan = fourier_pipeline(4)
@@ -637,7 +653,7 @@ class TestSimulateMphd:
         n = shape[1]
         result = SimulationResult(
             outcomes=outcomes, angles=angles, sample_mean=np.zeros(n), sample_cov=np.zeros((n, n)),
-            analytic_mean=np.zeros(n), analytic_cov=np.zeros((n, n)), staged_cov=np.zeros((2 * n, 2 * n)),
+            analytic_mean=np.zeros(n), analytic_cov=np.zeros((n, n)),
             direct_cov=np.zeros((2 * n, 2 * n)), staged_vs_direct_residual=0.0,
         )
         export_samples_csv(result, tmp_path / "samples.csv")

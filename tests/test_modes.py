@@ -99,11 +99,6 @@ class TestFlipModeBasis:
             basis = flip_mode_basis(n)
             assert basis.orthonormality_residual() <= 1e-10
 
-    @pytest.mark.parametrize("domain", [(-1.0, 3.0), (0.0, 1e-308)])
-    def test_custom_domain(self, domain):
-        basis = flip_mode_basis(4, domain=domain)
-        assert basis.orthonormality_residual() <= 1e-10
-
     def test_more_than_64_modes_rejected(self):
         with pytest.raises(ValidationError, match="need 1 to 64 flip modes, got 65"):
             flip_mode_basis(65)
@@ -112,38 +107,12 @@ class TestFlipModeBasis:
         with pytest.raises(ValidationError):
             flip_mode_basis(0)
 
-    def test_empty_domain(self):
-        with pytest.raises(ValidationError, match="empty domain"):
-            flip_mode_basis(2, domain=(1.0, 1.0))
-
-    @pytest.mark.parametrize(
-        "domain, message",
-        [
-            ((0.0, np.nan), "no finite width"),
-            ((0.0, np.inf), "no finite width"),
-            ((-1e308, 1e308), "no finite width"),
-            ((0.0, 1e-320), "too narrow: its width has no finite reciprocal"),
-        ],
-    )
-    def test_domain_without_finite_width(self, domain, message):
-        with pytest.raises(ValidationError, match=message):
-            flip_mode_basis(2, domain=domain)
-
 
 class TestModeBasis:
-    def test_empty_domain(self):
-        with pytest.raises(ValidationError, match="empty domain"):
-            ModeBasis(domain=(1.0, 0.0), samples=np.ones((1, 4)))
-
-    @pytest.mark.parametrize("domain", [(0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan)])
-    def test_non_finite_domain(self, domain):
-        with pytest.raises(ValidationError, match="not finite"):
-            ModeBasis(domain=domain, samples=np.ones((1, 4)))
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples(self, bad):
         with pytest.raises(ValidationError, match="non-finite"):
-            ModeBasis(domain=(0.0, 1.0), samples=[[1.0, bad]])
+            ModeBasis([[1.0, bad]])
 
 
 class TestPixelPartition:
@@ -164,8 +133,8 @@ class TestPixelPartition:
         with pytest.raises(ValidationError, match="at least one pixel"):
             PixelPartition.equal(0)
 
-    def test_must_cover_the_domain(self):
-        with pytest.raises(ValidationError, match="does not cover domain"):
+    def test_must_cover_the_detector(self):
+        with pytest.raises(ValidationError, match=r"does not cover the detector \[0, 1\]"):
             detection_setup(flip_mode_basis(2), 0, PixelPartition([0.0, 0.5]))
 
 
@@ -200,13 +169,13 @@ class TestPixelModes:
         m = 256
         samples = np.zeros((1, m))
         samples[0, : m // 2] = np.sqrt(2.0)  # unit norm, dark right half
-        basis = ModeBasis(domain=(0.0, 1.0), samples=samples)
+        basis = ModeBasis(samples)
         with pytest.raises(SingularPixelError):
             pixel_modes(basis, 0, PixelPartition([0.0, 0.5, 1.0]))
 
     def test_pixel_edge_inside_a_cell_takes_its_share(self):
         # samples are constant on their cells: the edge at 0.3 splits the second cell
-        basis = ModeBasis(domain=(0.0, 1.0), samples=np.ones((1, 4)))
+        basis = ModeBasis(np.ones((1, 4)))
         _, kappa = pixel_modes(basis, 0, PixelPartition([0.0, 0.3, 1.0]))
         np.testing.assert_allclose(kappa**2, [1 / 0.3, 1 / 0.7], rtol=1e-14)
 
@@ -239,13 +208,6 @@ class TestDetectionMatrix:
         for count in sorted({n, 3, 6}):
             u_t = detection_matrix(flip_mode_basis(n), PixelPartition.equal(count))
             np.testing.assert_allclose(u_t, lcm_cell_oracle(n, count), rtol=0, atol=1e-14)
-
-    @pytest.mark.parametrize("domain", [(-1.0, 3.0), (0.0, 1e-308)])
-    def test_overlaps_do_not_depend_on_the_domain(self, domain):
-        # cell widths weight the samples before the sums, so 1/width near the float limit does not overflow
-        u_t = detection_matrix(flip_mode_basis(6, domain=domain), PixelPartition.equal(6, domain))
-        unit = detection_matrix(flip_mode_basis(6), PixelPartition.equal(6))
-        np.testing.assert_allclose(u_t, unit, rtol=0, atol=1e-14)
 
     def test_rectangular(self):
         u_t = detection_matrix(flip_mode_basis(4), PixelPartition.equal(6))
@@ -299,7 +261,7 @@ class TestBasisFile:
         path = tmp_path / "basis.txt"
         save_mode_basis(basis, path)
         loaded = load_mode_basis(path)
-        assert loaded.domain == basis.domain
+        assert path.read_text().splitlines()[1] == f"0.0 1.0 {basis.grid_points}"
         np.testing.assert_allclose(loaded.samples, basis.samples, atol=1e-15)
 
     def test_complex_round_trip(self, tmp_path):
@@ -307,7 +269,7 @@ class TestBasisFile:
         samples = np.vstack(
             [np.ones(m, dtype=complex), np.exp(2j * np.pi * (np.arange(m) + 0.5) / m)]
         )
-        basis = ModeBasis(domain=(0.0, 1.0), samples=samples)
+        basis = ModeBasis(samples)
         path = tmp_path / "basis.txt"
         save_mode_basis(basis, path)
         loaded = load_mode_basis(path)
@@ -338,10 +300,31 @@ class TestBasisFile:
         with pytest.raises(ValidationError, match="'domain_min domain_max grid_points', got"):
             load_mode_basis(path)
 
-    def test_rejects_nan_domain(self, tmp_path):
+    @pytest.mark.parametrize("interval", ["0 nan", "nan 1", "0 inf", "-1e308 1e308", "1 1", "1 0"])
+    def test_rejects_a_nan_or_empty_interval(self, tmp_path, interval):
         path = tmp_path / "bad.txt"
-        path.write_text("0 nan 2\n1.0\n-1.0\n")
-        with pytest.raises(ValidationError, match="not finite"):
+        path.write_text(f"{interval} 2\n1.0\n-1.0\n")
+        with pytest.raises(ValidationError, match=r"header interval \[.*\] is empty or not finite"):
+            load_mode_basis(path)
+
+    @pytest.mark.parametrize("interval", [(-1.0, 3.0), (0.0, 1e-308), (1000.0, 1000.001)])
+    @pytest.mark.filterwarnings("error")
+    def test_header_interval_only_normalizes_the_samples(self, tmp_path, interval):
+        # samples normalized on the header's interval load onto [0, 1], so overlaps stay put
+        lo, hi = interval
+        basis = flip_mode_basis(6)
+        save_mode_basis(basis, tmp_path / "unit.txt")
+        rows = "".join(" ".join(map(repr, row.tolist())) + "\n" for row in basis.samples.T / np.sqrt(hi - lo))
+        (tmp_path / "scaled.txt").write_text(f"{lo!r} {hi!r} {basis.grid_points}\n{rows}")
+        part = PixelPartition.equal(6)
+        u_t = detection_matrix(load_mode_basis(tmp_path / "scaled.txt"), part)
+        unit = detection_matrix(load_mode_basis(tmp_path / "unit.txt"), part)
+        np.testing.assert_allclose(u_t, unit, rtol=0, atol=1e-15)
+
+    def test_samples_pushed_past_float64_are_named(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("0 4 1\n1.5e308\n")
+        with pytest.raises(ValidationError, match="non-finite"):
             load_mode_basis(path)
 
     def test_rejects_row_count_mismatch(self, tmp_path):
@@ -364,4 +347,3 @@ class TestBasisFile:
         path.write_text("# two modes\n\n0.0 1.0 2\n1.0 0.0+1j\n# middle\n1.0 -0.0-1j\n")
         basis = load_mode_basis(path)
         np.testing.assert_array_equal(basis.samples, [[1.0, 1.0], [1j, -1j]])
-        assert basis.domain == (0.0, 1.0)
